@@ -133,7 +133,10 @@ def cmd_measure(args) -> int:
 def cmd_estimate(args) -> int:
     with open(args.record) as fh:
         record = record_from_json_dict(json.load(fh))
-    n_sites = len(next(iter(record.weights())))
+    outcomes = record.nonzero_outcomes()
+    if not outcomes:
+        raise ValueError(f"record {args.record} holds no outcomes")
+    n_sites = len(outcomes[0])
     povm = _load_povm(args.povm, n=n_sites)
     if record.povm_id and record.povm_id != povm_id(povm):
         raise ValueError("record was measured with a different POVM")

@@ -11,10 +11,15 @@ symmetrization, and trace normalization rho / trace(rho).
 
 The gradient splits into an iteration-dependent channel term
 sum_k <A_k, rho> A_k (a site-local superoperator, rank-preserving) and a
-data term sum_k p_hat_k A_k that is fixed for a given record.  The data
-term is assembled once as an exact MPO whose bond bases are the distinct
-observed outcome prefixes/suffixes, so a step never touches more than
-O(r + r_data) bond dimensions.
+data term E = sum_k p_hat_k A_k that is fixed for a given record.  E is
+assembled once as an exact MPO whose bond bases are the distinct observed
+outcome prefixes/suffixes, so its bond R grows with the number of
+distinct outcomes, and it is right-orthogonalized once per run.  Each
+step rounds rho - mu Phi(rho) + mu E with ``tt_round_sum``: only the
+rank-2r part is orthogonalized against E's fixed orthonormal rows, which
+costs O(n d^2 r R^2) per step instead of the O(n d^2 R^3) of rounding the
+whole sum.  The spectral initialization and the loss cross term <E, rho>
+read the same orthogonalized E.
 """
 
 from __future__ import annotations
@@ -41,10 +46,15 @@ from .tt import (
     tt_adjoint,
     tt_from_dense,
     tt_inner,
+    tt_norm,
+    tt_right_orthogonalize,
     tt_round,
+    tt_round_sum,
     tt_scale,
+    tt_sub,
     tt_to_dense,
     tt_trace,
+    tt_zeros,
 )
 
 TRACE_FLOOR = 1e-8
@@ -299,6 +309,21 @@ def project_mpo(raw, ranks, d: int = 2, round_tol: float = None) -> TTTensor:
         tt = tt_from_dense(dense, target_ranks=cap_ranks(ranks, dense.n, dense.d))
     else:
         tt = tt_round(raw, target_ranks=cap_ranks(ranks, raw.n, raw.d))
+    return _symmetrize_normalize(tt, ranks, round_tol)
+
+
+def _project_with_data(a: TTTensor, empirical: TTTensor, coeff: float,
+                       ranks, round_tol: float = None) -> TTTensor:
+    """project_mpo(a + coeff * empirical) for a right-orthogonal
+    empirical operator: the rank rounding keeps its orthonormal rows
+    (tt_round_sum) instead of orthogonalizing the whole sum again."""
+    tt = tt_round_sum(a, tt_scale(empirical, coeff),
+                      target_ranks=cap_ranks(ranks, a.n, a.d))
+    return _symmetrize_normalize(tt, ranks, round_tol)
+
+
+def _symmetrize_normalize(tt: TTTensor, ranks, round_tol) -> TTTensor:
+    """The steps of project_mpo after the rank rounding."""
     if round_tol is not None and tt.n > 1:
         tt = tt_round(tt, truncation_tol=round_tol)
     capped = cap_ranks(ranks, tt.n, tt.d)
@@ -313,26 +338,25 @@ def project_mpo(raw, ranks, d: int = 2, round_tol: float = None) -> TTTensor:
     return tt_scale(sym, 1.0 / tr)
 
 
-def gradient_step(state: TTTensor, handle: GradientHandle, mu: float,
-                  ranks, round_tol: float = None) -> TTTensor:
-    acc = tt_add(state, tt_scale(handle.channel, -mu))
-    acc = tt_add(acc, tt_scale(handle.empirical, mu))
-    return project_mpo(acc, ranks, round_tol=round_tol)
-
-
 # ---------------------------------------------------------------------------
 # initialization
 
 
-def spectral_init(record, povm: ProductPOVM, ranks) -> TTTensor:
+def spectral_init(record, povm: ProductPOVM, ranks,
+                  empirical: TTTensor = None) -> TTTensor:
     """Project the rescaled adjoint map K (d^n + 1) / d^n sum p_hat_k A_k
-    of the empirical probabilities onto the constraint set."""
+    of the empirical probabilities onto the constraint set.
+
+    ``empirical``, if given, is the record's empirical operator already
+    right-orthogonalized (tt_right_orthogonalize), which makes the
+    rounding cheap."""
     if not record.weights():
         raise ValueError("record is empty")
-    emp = empirical_operator(record, povm)
+    if empirical is None:
+        empirical = tt_right_orthogonalize(empirical_operator(record, povm))
     n, d = povm.n, povm.d
     scale = povm.k_total * (d ** n + 1) / d ** n
-    return project_mpo(tt_scale(emp, scale), ranks)
+    return _project_with_data(tt_zeros(n, d), empirical, scale, ranks)
 
 
 def random_init(ranks, n: int, d: int, seed: int) -> TTTensor:
@@ -345,13 +369,14 @@ def random_init(ranks, n: int, d: int, seed: int) -> TTTensor:
     return project_mpo(state, ranks)
 
 
-def _initial_state(record, povm, config: EstimatorConfig, ranks) -> TTTensor:
+def _initial_state(record, povm, config: EstimatorConfig, ranks,
+                   empirical: TTTensor = None) -> TTTensor:
     if config.init == "provided":
         if config.init_state is None:
             raise ValueError("init='provided' requires init_state")
         return project_mpo(config.init_state, ranks)
     if config.init == "spectral":
-        return spectral_init(record, povm, ranks)
+        return spectral_init(record, povm, ranks, empirical)
     return random_init(ranks, povm.n, povm.d, config.init_seed)
 
 
@@ -360,10 +385,10 @@ def _initial_state(record, povm, config: EstimatorConfig, ranks) -> TTTensor:
 
 
 def recovery_error(a: TTTensor, b: TTTensor) -> float:
-    """Frobenius distance ||a - b||_F via Gram terms, clamped at zero."""
-    val = (tt_inner(a, a).real + tt_inner(b, b).real
-           - 2.0 * tt_inner(a, b).real)
-    return float(np.sqrt(max(val, 0.0)))
+    """Frobenius distance ||a - b||_F, by the backward-stable tt_norm of
+    the difference, so it stays accurate near zero where Gram terms
+    would cancel."""
+    return tt_norm(tt_sub(a, b))
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -441,10 +466,9 @@ def pgd(record, povm: ProductPOVM, config: EstimatorConfig,
     n, d = povm.n, povm.d
     ranks = config.rank_vector(n, d)
     t0 = time.perf_counter()
-    state = _initial_state(record, povm, config, ranks)
-    emp = empirical_operator(record, povm)
+    emp = tt_right_orthogonalize(empirical_operator(record, povm))
+    state = _initial_state(record, povm, config, ranks, emp)
     weight_sq = float(sum(w * w for w in record.weights().values()))
-    terms = tuple(sorted(record.weights().items()))
     log = []
     channel = sum_channel(povm, state)
     cur_loss = _loss_from_parts(state, channel, emp, weight_sq)
@@ -454,10 +478,10 @@ def pgd(record, povm: ProductPOVM, config: EstimatorConfig,
     iterations = 0
     for tau in range(config.max_iters):
         mu = _step_size(config, n, tau)
-        handle = GradientHandle(channel=channel, empirical=emp, terms=terms)
         try:
-            state = gradient_step(state, handle, mu, ranks,
-                                  round_tol=config.tt_round_tol)
+            state = _project_with_data(tt_add(state, tt_scale(channel, -mu)),
+                                       emp, mu, ranks,
+                                       round_tol=config.tt_round_tol)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"decomposition failed at iteration {tau + 1} "

@@ -289,16 +289,21 @@ def _svg_plot(series: dict, xlabel: str, xlog: bool) -> str:
 def _plot_medians(medians: list, out_dir: str) -> list:
     """SVG line plots of median final error vs n (error_vs_n.svg, written
     when the medians hold more than one n) and vs M (error_vs_m.svg, more
-    than one M): one polyline per (rank, init, algorithm) series.  The
-    bytes depend only on the medians.  Returns the written paths."""
+    than one M): one polyline per (rank, init, algorithm) series, split
+    further by the other axis's value when that axis has more than one.
+    The bytes depend only on the medians.  Returns the written paths."""
     written = []
-    for axis, fname, xlabel in (("n", "error_vs_n.svg", "number of sites n"),
-                                ("shots", "error_vs_m.svg", "shots M")):
+    axes = (("n", "shots", "M", "error_vs_n.svg", "number of sites n"),
+            ("shots", "n", "n", "error_vs_m.svg", "shots M"))
+    for axis, other, other_name, fname, xlabel in axes:
         if len({med[axis] for med in medians}) < 2:
             continue
+        split = len({med[other] for med in medians}) > 1
         series = {}
         for med in medians:
             label = f"r={med['rank']} {med['init']} {med['algorithm']}"
+            if split:
+                label += f" {other_name}={_fmt(med[other])}"
             series.setdefault(label, []).append((med[axis],
                                                  med["median_final_error"]))
         series = {label: sorted(pts) for label, pts in series.items()}

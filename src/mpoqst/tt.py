@@ -173,7 +173,8 @@ def unfuse_tensor_to_dense(tensor: np.ndarray, n: int, d: int) -> np.ndarray:
     return t.transpose(perm).reshape(d ** n, d ** n)
 
 
-def _zero_tt(n: int, d: int) -> TTTensor:
+def tt_zeros(n: int, d: int = 2) -> TTTensor:
+    """The zero operator on n sites, with all bond dimensions 1."""
     return TTTensor(tuple(np.zeros((1, d * d, 1), dtype=complex)
                           for _ in range(n)), d=d)
 
@@ -366,44 +367,146 @@ def tt_sub(a: TTTensor, b: TTTensor) -> TTTensor:
 # rounding / compression
 
 
+def _orthogonalize_right(cores: list, dd: int) -> None:
+    """Right-to-left QR sweep, in place: cores 2..n of the list get
+    right-orthonormal unfoldings and the first core absorbs the norm."""
+    for l in range(len(cores) - 1, 0, -1):
+        r0, _, r1 = cores[l].shape
+        q, rmat = np.linalg.qr(cores[l].reshape(r0, dd * r1).T)
+        cores[l] = np.ascontiguousarray(q.T).reshape(-1, dd, r1)
+        cores[l - 1] = np.tensordot(cores[l - 1], rmat.T, axes=[[2], [0]])
+
+
+def _truncate_left_to_right(first, absorb, n: int, d: int, target_ranks,
+                            truncation_tol) -> TTTensor:
+    """Left-to-right truncated SVDs of a right-orthogonal chain.
+
+    ``first`` is the first core, which holds the whole norm, and
+    ``absorb(l, carry)`` returns carry @ core l of the right-orthonormal
+    rest.  With a tolerance, the per-cut discarded singular mass is
+    budgeted as in :func:`tt_from_dense`.
+    """
+    dd = d * d
+    fro = float(np.linalg.norm(first))
+    if fro <= ZERO_NORM_TOL:
+        return tt_zeros(n, d)
+    per_cut = None
+    if truncation_tol is not None:
+        per_cut = truncation_tol * fro / np.sqrt(max(n - 1, 1))
+    cores = []
+    core = first
+    for l in range(n - 1):
+        r0, _, r1 = core.shape
+        u, s, vt = np.linalg.svd(core.reshape(r0 * dd, r1),
+                                 full_matrices=False)
+        cap = target_ranks[l] if target_ranks is not None else None
+        r = _choose_rank(s, cap, per_cut)
+        cores.append(u[:, :r].reshape(r0, dd, r))
+        core = absorb(l + 1, s[:r, None] * vt[:r])
+    cores.append(core)
+    return TTTensor(tuple(cores), d=d)
+
+
+def _rounding_mode(a: TTTensor, target_ranks, truncation_tol):
+    if (target_ranks is None) == (truncation_tol is None):
+        raise ValueError("supply exactly one of target_ranks, truncation_tol")
+    if target_ranks is not None:
+        return _validate_ranks(target_ranks, a.n, a.d)
+    return None
+
+
 def tt_round(a: TTTensor, target_ranks=None, truncation_tol=None) -> TTTensor:
     """Recompress: right-to-left orthogonalization then left-to-right
     truncated SVDs.  Same error contract as :func:`tt_from_dense`, computed
     fully in TT form at cost O(n d^2 r^3).
     """
-    if (target_ranks is None) == (truncation_tol is None):
-        raise ValueError("supply exactly one of target_ranks, truncation_tol")
+    target_ranks = _rounding_mode(a, target_ranks, truncation_tol)
     n, d = a.n, a.d
     dd = d * d
-    if target_ranks is not None:
-        target_ranks = _validate_ranks(target_ranks, n, d)
     if n == 1:
         return TTTensor((a.cores[0].copy(),), d=d)
-    cores = [c.copy() for c in a.cores]
-    # right-to-left orthogonalization
+    cores = list(a.cores)
+    _orthogonalize_right(cores, dd)
+
+    def absorb(l, carry):
+        return np.tensordot(carry, cores[l], axes=[[1], [0]])
+
+    return _truncate_left_to_right(cores[0], absorb, n, d, target_ranks,
+                                   truncation_tol)
+
+
+def tt_right_orthogonalize(a: TTTensor) -> TTTensor:
+    """The same tensor with cores 2..n right-orthonormal: the unfolding
+    core.reshape(r, d*d*r') of each has orthonormal rows.  The first core
+    holds the norm, so :func:`tt_scale` keeps the form."""
+    cores = list(a.cores)
+    _orthogonalize_right(cores, a.d * a.d)
+    return TTTensor(tuple(cores), d=a.d)
+
+
+def tt_round_sum(a: TTTensor, b: TTTensor, target_ranks=None,
+                 truncation_tol=None) -> TTTensor:
+    """tt_round(tt_add(a, b), ...) for a right-orthogonal ``b`` (see
+    :func:`tt_right_orthogonalize`) with small ranks in ``a``.
+
+    The right-to-left sweep keeps b's orthonormal rows Q and only
+    orthogonalizes the rows of a against them: at each site the
+    coefficients C = A Q^H go into the next core of a, and the residual
+    A - C Q adds at most rank(a) new orthonormal rows.  The left-to-right
+    truncation is the one of :func:`tt_round`.  With r the ranks of a and
+    R those of b, this costs O(n d^2 r R^2) instead of O(n d^2 R^3).
+    ``b`` is assumed right-orthogonal, not checked.
+    """
+    _check_compatible(a, b)
+    target_ranks = _rounding_mode(a, target_ranks, truncation_tol)
+    n, d = a.n, a.d
+    dd = d * d
+    if n == 1:
+        return TTTensor((a.cores[0] + b.cores[0],), d=d)
+    # Site l's orthonormal core is [Q_l, 0; Z_l] with Q_l = b's core
+    # unfolding (rb_l, dd*rb_{l+1}), zero-padded to the k_{l+1} residual
+    # columns of site l + 1, and Z_l the k_l residual rows.
+    qs = [c.reshape(c.shape[0], -1) for c in b.cores]
+    rb = [c.shape[0] for c in b.cores] + [1]
+    zs = [None] * n
+    k = [0] * (n + 1)
+    acore = a.cores[n - 1]  # a's core times the carry, (ra, dd, rb' + k')
     for l in range(n - 1, 0, -1):
-        r0, _, r1 = cores[l].shape
-        q, rmat = np.linalg.qr(cores[l].reshape(r0, dd * r1).T)
-        k = q.shape[1]
-        cores[l] = q.T.reshape(k, dd, r1)
-        cores[l - 1] = np.tensordot(cores[l - 1], rmat.T, axes=[[2], [0]])
-    fro = float(np.linalg.norm(cores[0]))
-    if fro <= ZERO_NORM_TOL:
-        return _zero_tt(n, d)
-    per_cut = None
-    if truncation_tol is not None:
-        per_cut = truncation_tol * fro / np.sqrt(max(n - 1, 1))
-    # left-to-right truncation
-    for l in range(n - 1):
-        r0, _, r1 = cores[l].shape
-        u, s, vt = np.linalg.svd(cores[l].reshape(r0 * dd, r1),
-                                 full_matrices=False)
-        cap = target_ranks[l] if target_ranks is not None else None
-        r = _choose_rank(s, cap, per_cut)
-        cores[l] = u[:, :r].reshape(r0, dd, r)
-        carry = s[:r, None] * vt[:r]
-        cores[l + 1] = np.tensordot(carry, cores[l + 1], axes=[[1], [0]])
-    return TTTensor(tuple(cores), d=d)
+        ra = acore.shape[0]
+        width = rb[l + 1] + k[l + 1]
+        on_q = acore[:, :, :rb[l + 1]].reshape(ra, -1)
+        coef = (on_q.conj() @ qs[l].T).conj()  # A Q^H, conjugating A only
+        resid = acore.copy()
+        resid[:, :, :rb[l + 1]] -= (coef @ qs[l]).reshape(ra, dd, rb[l + 1])
+        # The residual lies in the complement of Q's rb_l rows, so it
+        # adds at most dd * width - rb_l new rows.
+        k[l] = min(ra, dd * width - rb[l])
+        carry = coef
+        if k[l] > 0:
+            q, rmat = np.linalg.qr(resid.reshape(ra, -1).T)
+            rz, zs[l] = rmat.T, q.T
+            if k[l] < ra:  # keep the leading k_l directions
+                u, sv, vt = np.linalg.svd(rz, full_matrices=False)
+                rz, zs[l] = u[:, :k[l]] * sv[:k[l]], vt[:k[l]] @ zs[l]
+            zs[l] = np.ascontiguousarray(zs[l])
+            carry = np.concatenate([coef, rz], axis=1)
+        prev = a.cores[l - 1]
+        acore = (prev.reshape(-1, ra) @ carry).reshape(prev.shape[0], dd, -1)
+    first = acore  # a fresh array
+    first[:, :, :rb[1]] += b.cores[0]
+
+    def absorb(l, carry):
+        r = carry.shape[0]
+        width = rb[l + 1] + k[l + 1]
+        on_q = (carry[:, :rb[l]] @ qs[l]).reshape(r, dd, rb[l + 1])
+        if zs[l] is None:  # then k_{l+1} = 0 too: no padding
+            return on_q
+        out = (carry[:, rb[l]:] @ zs[l]).reshape(r, dd, width)
+        out[:, :, :rb[l + 1]] += on_q
+        return out
+
+    return _truncate_left_to_right(first, absorb, n, d, target_ranks,
+                                   truncation_tol)
 
 
 # ---------------------------------------------------------------------------

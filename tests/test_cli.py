@@ -134,6 +134,16 @@ def test_gamma_cli(workspace, capsys):
     assert beam["gamma"] <= payload["gamma"] + 1e-12
 
 
+def test_estimate_empty_record_is_input_error(workspace, capsys):
+    record = workspace / "empty.json"
+    record.write_text(json.dumps({"format": "mpoqst-record", "kind": "counts",
+                                  "M": 0, "counts": []}))
+    assert run(["estimate", "--record", record,
+                "--out", workspace / "x"]) == 1
+    assert "input error:" in capsys.readouterr().err
+    assert not (workspace / "x.json").exists()
+
+
 def test_missing_file_is_input_error(workspace):
     assert run(["measure", "--state", "no-such-file.json",
                 "--out", "x.json"]) == 1
@@ -176,8 +186,13 @@ def test_plot_medians_writes_deterministic_svg(tmp_path):
     svg = "{http://www.w3.org/2000/svg}"
     for path in paths:
         polylines = ET.parse(path).getroot().findall(svg + "polyline")
-        assert len(polylines) == 2  # one per rank
-        assert [len(p.get("points").split()) for p in polylines] == [4, 4]
+        # one per (rank, value of the other axis): points of different M
+        # (or n) never share a line
+        assert len(polylines) == 4
+        for p in polylines:
+            xs = [float(xy.split(",")[0]) for xy in p.get("points").split()]
+            assert len(xs) == 2
+            assert all(a < b for a, b in zip(xs, xs[1:]))
     first = [open(p, "rb").read() for p in paths]
     assert experiment._plot_medians(medians, str(tmp_path)) == paths
     assert [open(p, "rb").read() for p in paths] == first
@@ -186,7 +201,12 @@ def test_plot_medians_writes_deterministic_svg(tmp_path):
     medians[1]["median_final_error"] = float("nan")
     experiment._plot_medians(medians, str(tmp_path))
     polylines = ET.parse(paths[0]).getroot().findall(svg + "polyline")
-    assert [len(p.get("points").split()) for p in polylines] == [3, 3]
+    assert [len(p.get("points").split()) for p in polylines] == [1, 2, 1, 2]
+    # a single-axis sweep keeps one line per (rank, init, algorithm)
+    single = [med for med in medians if med["shots"] == 1000]
+    (path,) = experiment._plot_medians(single, str(tmp_path))
+    labels = [t.text for t in ET.parse(path).getroot().findall(svg + "text")]
+    assert "r=1 random pgd" in labels and "r=4 random pgd" in labels
 
 
 def test_experiment_resume_and_determinism(workspace, capsys):

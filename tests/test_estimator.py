@@ -24,7 +24,12 @@ from mpoqst.estimator import (
     spectral_init,
     wirtinger_gradient,
 )
-from mpoqst.povm import ProductPOVM, dense_from_product, iter_outcomes
+from mpoqst.povm import (
+    ProductPOVM,
+    dense_from_product,
+    iter_outcomes,
+    sum_channel,
+)
 from mpoqst.sampling import population_record, sample_enumerate, sample_sequential
 from mpoqst.states import MPDOGenConfig, maximally_mixed, random_mpdo
 from mpoqst.tt import (
@@ -32,7 +37,11 @@ from mpoqst.tt import (
     NumericalError,
     is_hermitian,
     random_tt,
+    tt_add,
+    tt_inner,
+    tt_norm,
     tt_scale,
+    tt_sub,
     tt_to_dense,
     tt_trace,
 )
@@ -330,6 +339,19 @@ def test_recovery_error_matches_dense():
     assert abs(recovery_error(a, b) - want) < 1e-10
 
 
+@pytest.mark.parametrize("distance", [1e-9, 1e-11])
+def test_recovery_error_accurate_near_zero(distance):
+    # Gram terms <a,a> + <b,b> - 2<a,b> cancel here: they read 2.6e-9 at
+    # a true distance of 1e-9 and 0.0 at 1e-11
+    a = _mpdo(6, seed=70)
+    p = random_tt(6, 2, (2, 2, 2, 2, 2), seed=71, hermitian=True)
+    b = tt_add(a, tt_scale(p, distance / tt_norm(p)))
+    assert abs(recovery_error(a, b) - distance) <= 1e-3 * distance
+    gram = (tt_inner(a, a).real + tt_inner(b, b).real
+            - 2.0 * tt_inner(a, b).real)
+    assert abs(np.sqrt(max(gram, 0.0)) - distance) > 0.5 * distance
+
+
 def test_recovery_error_triangle_inequality():
     for seed in range(5):
         a, b, c = (_mpdo(2, seed=40 + seed), _mpdo(2, seed=50 + seed),
@@ -394,6 +416,62 @@ def test_backend_equivalence_over_20_steps():
     diff = np.abs(tt_to_dense(out_tt.state).matrix
                   - tt_to_dense(out_dn.state).matrix).max()
     assert diff < 1e-8
+
+
+def _reference_iterates(record, povm, config):
+    """PGD iterates with every step rounded as tt_round(tt_add(...)) of
+    the whole sum state - mu Phi(state) + mu E, the data operator E
+    taken as built."""
+    n, d = povm.n, povm.d
+    ranks = config.rank_vector(n, d)
+    emp = empirical_operator(record, povm)
+    if config.init == "spectral":
+        scale = povm.k_total * (d ** n + 1) / d ** n
+        state = project_mpo(tt_scale(emp, scale), ranks)
+    else:
+        state = project_mpo(config.init_state, ranks)
+    iterates = [state]
+    for tau in range(config.max_iters):
+        mu = config.mu0 * config.lam ** tau * 2.0 ** n
+        acc = tt_add(state, tt_scale(sum_channel(povm, state), -mu))
+        state = project_mpo(tt_add(acc, tt_scale(emp, mu)), ranks)
+        iterates.append(state)
+    return iterates
+
+
+def _provided_case(n, truth_seed, record_seed, init_seed):
+    povm = ProductPOVM.local_sic(n)
+    rec = sample_enumerate(povm, _mpdo(n, seed=truth_seed), 5000,
+                           seed=record_seed)
+    config = EstimatorConfig(ranks=4, init="provided",
+                             init_state=_mpdo(n, seed=init_seed),
+                             max_iters=20, mu0=5 / 8, lam=0.9,
+                             plateau_rel_tol=0)
+    return rec, povm, config
+
+
+def _spectral_n8_case():
+    povm = ProductPOVM.local_sic(8)
+    rec = sample_sequential(povm, _mpdo(8, seed=72), 3000, seed=73)
+    config = EstimatorConfig(ranks=4, init="spectral", max_iters=4,
+                             plateau_window=5,
+                             **STEP_PRESETS["pgd-spectral-rank4"])
+    return rec, povm, config
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _provided_case(3, 109, 16, 110),  # criterion-6 fixture
+    lambda: _provided_case(3, 7, 8, 9),  # backend-equivalence fixture
+    _spectral_n8_case,
+], ids=["criterion-6", "backend-equivalence", "spectral-n8"])
+def test_pgd_iterates_match_whole_sum_rounding(case):
+    rec, povm, config = case()
+    want = _reference_iterates(rec, povm, config)
+    for k in range(len(want)):
+        config.max_iters = k
+        got = pgd(rec, povm, config).state
+        assert (tt_norm(tt_sub(got, want[k]))
+                <= 1e-10 * tt_norm(want[k])), f"iterate {k}"
 
 
 def test_pgd_iterate_invariants_every_step():

@@ -21,12 +21,15 @@ from mpoqst.tt import (
     tt_from_json_dict,
     tt_inner,
     tt_norm,
+    tt_right_orthogonalize,
     tt_round,
+    tt_round_sum,
     tt_scale,
     tt_sub,
     tt_to_dense,
     tt_to_json_dict,
     tt_trace,
+    tt_zeros,
 )
 from mpoqst.states import maximally_mixed, pure_product
 
@@ -216,6 +219,70 @@ def test_round_zero_tensor():
     r = tt_round(z, truncation_tol=1e-10)
     assert r.ranks == (1, 1, 1, 1)
     assert tt_norm(r) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# rounding a sum with a fixed right-orthogonal summand
+
+
+def _rel_dist(x, ref):
+    return tt_norm(tt_sub(x, ref)) / tt_norm(ref)
+
+
+def test_right_orthogonalize_rows_orthonormal():
+    a = random_tt(5, 2, (4, 9, 9, 4), seed=17)
+    b = tt_right_orthogonalize(a)
+    assert _rel_dist(b, a) <= 1e-13
+    assert b.cores[0].shape[0] == 1
+    for core in b.cores[1:]:
+        q = core.reshape(core.shape[0], -1)
+        assert q.flags.c_contiguous
+        assert np.abs(q @ q.conj().T - np.eye(q.shape[0])).max() <= 1e-13
+    # tt_scale changes only the first core, so it keeps the form
+    assert all(x is y for x, y in zip(tt_scale(b, -2.5).cores[1:],
+                                      b.cores[1:]))
+
+
+@pytest.mark.parametrize("n, d, ranks_a, ranks_b", [
+    (1, 2, (), ()),
+    (2, 2, (2,), (3,)),
+    (2, 2, (4,), (4,)),           # both at the structural cap
+    (3, 2, (4, 4), (2, 3)),       # residual cut to the free directions
+    (3, 3, (5, 5), (4, 8)),
+    (6, 2, (4, 4, 4, 4, 4), (4, 16, 64, 16, 4)),
+    (6, 2, (2, 3, 4, 3, 2), (4, 13, 40, 11, 4)),
+])
+def test_round_sum_matches_round_of_sum(n, d, ranks_a, ranks_b):
+    a = random_tt(n, d, ranks_a, seed=18)
+    b = tt_right_orthogonalize(tt_scale(random_tt(n, d, ranks_b, seed=19),
+                                        0.3))
+    caps = max_tt_ranks(n, d)
+    modes = [dict(target_ranks=caps),
+             dict(target_ranks=tuple(min(2, c) for c in caps)),
+             dict(truncation_tol=1e-2), dict(truncation_tol=1e-12)]
+    for kwargs in modes:
+        for left in (a, tt_zeros(n, d)):
+            want = tt_round(tt_add(left, b), **kwargs)
+            got = tt_round_sum(left, b, **kwargs)
+            assert got.ranks == want.ranks
+            assert _rel_dist(got, want) <= 1e-12
+
+
+def test_round_sum_validates_like_round():
+    a = random_tt(3, 2, (2, 2), seed=20)
+    b = tt_right_orthogonalize(random_tt(3, 2, (3, 3), seed=21))
+    with pytest.raises(ValueError):
+        tt_round_sum(a, b)
+    with pytest.raises(ValueError):
+        tt_round_sum(a, b, target_ranks=(5, 5))
+    with pytest.raises(ValueError):
+        tt_round_sum(a, tt_right_orthogonalize(random_tt(4, 2, (2, 2, 2),
+                                                         seed=22)),
+                     target_ranks=(2, 2))
+    # a sum that cancels rounds to the exact zero, as in tt_round
+    b = tt_scale(b, 1.0 / tt_norm(b))
+    z = tt_round_sum(tt_scale(b, -1.0), b, truncation_tol=1e-10)
+    assert z.ranks == (1, 1, 1, 1) and tt_norm(z) == 0.0
 
 
 # ---------------------------------------------------------------------------
