@@ -31,8 +31,10 @@ import numpy as np
 
 from .povm import (
     ProductPOVM,
+    _outcome_indices,
     dense_from_product,
-    outcome_amplitude,
+    measure_map_dense,
+    outcome_amplitudes,
     sum_channel,
 )
 from .states import MPDOGenConfig, random_mpdo
@@ -169,9 +171,7 @@ def outcome_sum_tt(outcomes, weights, povm: ProductPOVM) -> TTTensor:
     pairs = sorted(zip((tuple(o) for o in outcomes), weights))
     if not pairs:
         raise ValueError("need at least one outcome")
-    for o, _ in pairs:
-        if len(o) != n:
-            raise ValueError(f"outcome {o} has wrong length")
+    _outcome_indices(povm, [o for o, _ in pairs])
     bridge = (n + 1) // 2  # 1-based site carrying the weights
     fused = [site.fused() for site in povm.sites]  # (k_loc, d*d) each
 
@@ -243,16 +243,19 @@ def loss(state: TTTensor, record, povm: ProductPOVM,
     return _loss_from_parts(state, channel, empirical, weight_sq)
 
 
+def _dense_weights(record, povm: ProductPOVM) -> np.ndarray:
+    """The record's p_hat as a flat K-vector in lexicographic outcome
+    order (zero for unobserved outcomes)."""
+    weights = record.weights()
+    p_hat = np.zeros(povm.k_total)
+    idx = _outcome_indices(povm, list(weights))
+    p_hat[np.ravel_multi_index(idx.T, povm.k_locs)] = list(weights.values())
+    return p_hat
+
+
 def loss_dense(state: DenseOperator, record, povm: ProductPOVM) -> float:
     """Direct K-vector evaluation for cross-checks (small n)."""
-    from .povm import measure_map_dense
-
-    probs = measure_map_dense(povm, state)
-    residual = probs.copy()
-    k_locs = povm.k_locs
-    for outcome, w in record.weights().items():
-        flat = np.ravel_multi_index(tuple(i - 1 for i in outcome), k_locs)
-        residual[flat] -= w
+    residual = measure_map_dense(povm, state) - _dense_weights(record, povm)
     return float(residual @ residual)
 
 
@@ -517,10 +520,7 @@ def _pgd_dense(record, povm, config, truth):
     t0 = time.perf_counter()
     state = _initial_state(record, povm, config, ranks)
     elements = np.stack([a for a in dense_from_product(povm).elements])
-    k_locs = povm.k_locs
-    p_hat = np.zeros(len(elements))
-    for outcome, w in record.weights().items():
-        p_hat[np.ravel_multi_index(tuple(i - 1 for i in outcome), k_locs)] = w
+    p_hat = _dense_weights(record, povm)
     log = []
     dense_state = tt_to_dense(state).matrix
     probs = np.einsum("kij,ij->k", elements.conj(), dense_state).real
@@ -556,23 +556,26 @@ def _pgd_dense(record, povm, config, truth):
                               "ranks": list(ranks), "final_loss": losses[-1]})
 
 
-def _zero_outcome_filler(povm: ProductPOVM, nonzero: set, count: int,
+def _zero_outcome_filler(povm: ProductPOVM, nonzero, count: int,
                          rng: np.random.Generator) -> list:
-    """Seeded choice of zero-count outcomes to pad a stochastic epoch."""
+    """Seeded choice of zero-count outcomes to pad a stochastic epoch.
+
+    Up to 2^20 outcomes, the pool is every outcome outside ``nonzero`` in
+    lexicographic order, and ``count`` of them are drawn without
+    replacement; beyond that, outcomes are drawn by rejection."""
     if count <= 0:
         return []
     k_locs = povm.k_locs
     k_total = povm.k_total
     if k_total <= 2 ** 20:
-        pool = []
-        for flat in range(k_total):
-            idx = np.unravel_index(flat, k_locs)
-            outcome = tuple(int(i) + 1 for i in idx)
-            if outcome not in nonzero:
-                pool.append(outcome)
+        free = np.ones(k_total, dtype=bool)
+        observed = _outcome_indices(povm, list(nonzero))
+        free[np.ravel_multi_index(observed.T, k_locs)] = False
+        pool = np.flatnonzero(free)
         take = min(count, len(pool))
         chosen = rng.choice(len(pool), size=take, replace=False)
-        return [pool[i] for i in sorted(chosen)]
+        picked = np.unravel_index(pool[np.sort(chosen)], k_locs)
+        return [tuple(row) for row in (np.stack(picked, axis=1) + 1).tolist()]
     chosen = []
     seen = set(nonzero)
     while len(chosen) < count:
@@ -589,7 +592,9 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
     """Stochastic variant: each epoch assembles a subset of N outcomes
     containing every nonzero-count outcome plus seeded zero-count filler,
     then runs floor(N/B) iterations on sequential batches of B, each using
-    the partial gradient sum_{k in batch} (<A_k, rho> - p_hat_k) A_k.
+    the partial gradient sum_{k in batch} (<A_k, rho> - p_hat_k) A_k; the
+    batch's amplitudes come from one batched contraction
+    (outcome_amplitudes).
 
     The nonzero outcomes are deliberately oversampled relative to a
     uniform pass over all K outcomes, and the batch gradient is used
@@ -626,8 +631,7 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
     for epoch in range(config.max_epochs):
         rng = np.random.Generator(np.random.Philox(
             key=((int(config.init_seed) << 64) + 0xE0C + epoch)))
-        filler = _zero_outcome_filler(povm, set(nonzero),
-                                      n_epoch - n_obs, rng)
+        filler = _zero_outcome_filler(povm, nonzero, n_epoch - n_obs, rng)
         subset = nonzero + filler
         order = rng.permutation(len(subset))
         iters = max(len(subset) // batch, 1)
@@ -636,8 +640,8 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
             chosen = [subset[i] for i in order[it * batch:(it + 1) * batch]]
             if not chosen:
                 break
-            coeffs = [outcome_amplitude(povm, state, o).real
-                      - weights.get(o, 0.0) for o in chosen]
+            coeffs = (outcome_amplitudes(povm, state, chosen).real
+                      - [weights.get(o, 0.0) for o in chosen])
             grad_tt = outcome_sum_tt(chosen, coeffs, povm)
             acc = tt_add(state, tt_scale(grad_tt, -mu))
             state = project_mpo(acc, ranks, round_tol=config.tt_round_tol)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from math import comb, factorial
 
@@ -48,6 +48,7 @@ class LocalPOVM:
 
     elements: tuple
     d: int
+    _fused: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         els = tuple(np.ascontiguousarray(e, dtype=complex) for e in self.elements)
@@ -56,14 +57,18 @@ class LocalPOVM:
                 raise ValueError(f"element shape {e.shape} != ({self.d}, {self.d})")
             e.flags.writeable = False
         object.__setattr__(self, "elements", els)
+        fused = np.stack([fuse_local_operator(e) for e in els])
+        fused.flags.writeable = False
+        object.__setattr__(self, "_fused", fused)
 
     @property
     def k_loc(self) -> int:
         return len(self.elements)
 
     def fused(self) -> np.ndarray:
-        """(k_loc, d*d) matrix of column-major flattened elements."""
-        return np.stack([fuse_local_operator(e) for e in self.elements])
+        """(k_loc, d*d) read-only matrix of column-major flattened
+        elements, built once per POVM."""
+        return self._fused
 
 
 @dataclass(frozen=True)
@@ -478,20 +483,39 @@ def probability_tensor(povm: ProductPOVM, state: TTTensor) -> np.ndarray:
     return _real_with_residue_check(acc.reshape(k_shape))
 
 
+def _outcome_indices(povm: ProductPOVM, outcomes) -> np.ndarray:
+    """(B, n) array of 0-based site indices for a batch of 1-based
+    outcomes; ValueError on a wrong length or an index outside 1..k_loc."""
+    lengths = {len(o) for o in outcomes} - {povm.n}
+    if lengths:
+        raise ValueError(f"outcome length {min(lengths)} != n={povm.n}")
+    rows = np.asarray(outcomes).reshape(-1, povm.n)
+    bad = (rows < 1) | (rows > np.array(povm.k_locs))
+    if bad.any():
+        b, l = np.argwhere(bad)[0]
+        raise ValueError(
+            f"outcome index {rows[b, l]} out of range at site {l + 1}")
+    return rows.astype(np.intp) - 1
+
+
+def outcome_amplitudes(povm: ProductPOVM, state: TTTensor,
+                       outcomes) -> np.ndarray:
+    """Raw <A_k, state> for a (B, n) batch of 1-based outcomes, as a (B,)
+    complex vector (no clamping; may be negative or complex-residued for
+    non-Hermitian iterates).  One left-to-right contraction through the
+    sampler's per-site transfer stacks, O(B n d^2 r^2)."""
+    if povm.n != state.n or povm.d != state.d:
+        raise ValueError("POVM and state shapes do not match")
+    idx = _outcome_indices(povm, outcomes)
+    v = np.ones((len(idx), 1), dtype=complex)
+    for l, trans in enumerate(_site_transfers(povm, state)):
+        v = np.einsum("br,brs->bs", v, trans[idx[:, l]])
+    return v[:, 0]
+
+
 def outcome_amplitude(povm: ProductPOVM, state: TTTensor, outcome) -> complex:
-    """Raw <A_k, state> for one outcome (no clamping; may be negative or
-    complex-residued for non-Hermitian iterates)."""
-    if len(outcome) != povm.n:
-        raise ValueError(f"outcome length {len(outcome)} != n={povm.n}")
-    v = np.ones(1, dtype=complex)
-    for l, (site, core) in enumerate(zip(povm.sites, state.cores)):
-        i = int(outcome[l])
-        if not 1 <= i <= site.k_loc:
-            raise ValueError(f"outcome index {i} out of range at site {l + 1}")
-        transfer = np.tensordot(fuse_local_operator(site.elements[i - 1]).conj(),
-                                core, axes=[[0], [1]])
-        v = v @ transfer
-    return complex(v[0])
+    """Raw <A_k, state> for one outcome: a one-row outcome_amplitudes."""
+    return complex(outcome_amplitudes(povm, state, [outcome])[0])
 
 
 def prob_of_outcome(povm: ProductPOVM, state: TTTensor, outcome,

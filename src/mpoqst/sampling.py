@@ -12,7 +12,9 @@ Outcome indices are the 1-based tuples of the povm module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -51,8 +53,7 @@ class OutcomeRecord:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        counts = {tuple(int(i) for i in k): int(v)
-                  for k, v in self.counts.items()}
+        counts = {tuple(map(int, k)): int(v) for k, v in self.counts.items()}
         if any(v <= 0 for v in counts.values()):
             raise ValueError("all counts must be positive")
         if sum(counts.values()) != self.m_shots:
@@ -90,7 +91,10 @@ class PopulationRecord:
 
 def empirical_probability(record, outcome) -> float:
     """p-hat for one outcome; absent keys are 0."""
-    return record.weights().get(tuple(int(i) for i in outcome), 0.0)
+    key = tuple(int(i) for i in outcome)
+    if isinstance(record, OutcomeRecord):
+        return record.counts.get(key, 0) / record.m_shots
+    return record.probs.get(key, 0.0)
 
 
 def nonzero_outcomes(record) -> list:
@@ -250,6 +254,7 @@ def record_to_json_dict(record) -> dict:
     if isinstance(record, OutcomeRecord):
         return {"kind": "counts", "M": record.m_shots, "seed": record.seed,
                 "povm_id": record.povm_id,
+                "diagnostics": dict(record.diagnostics),
                 "counts": [[list(k), v]
                            for k, v in sorted(record.counts.items())]}
     if isinstance(record, PopulationRecord):
@@ -260,14 +265,67 @@ def record_to_json_dict(record) -> dict:
     raise TypeError(f"not a record: {type(record)}")
 
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_outcome_pairs(raw) -> dict:
+    """Outcome -> value from the JSON list of [outcome, value] pairs;
+    ValueError on a malformed entry, a non-integer outcome index or a
+    repeated outcome."""
+    malformed = ValueError("counts must be a list of [outcome, value] pairs")
+    if not isinstance(raw, list):
+        raise malformed
+    try:
+        pairs = {tuple(k): v for k, v in raw}
+    except (TypeError, ValueError):
+        raise malformed from None
+    if len(pairs) != len(raw):
+        raise ValueError("an outcome is listed twice")
+    if set(map(type, chain.from_iterable(pairs))) - {int}:
+        raise ValueError("outcome indices must be integers")
+    return pairs
+
+
+def _json_probability(value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"probability must be a finite number, got {value!r}")
+
+
 def record_from_json_dict(data: dict):
+    """Record from its JSON form.  Outcome indices, counts, M and seed
+    must be JSON integers; ValueError on any malformed field."""
+    if not isinstance(data, dict):
+        raise ValueError("record must be a JSON object")
     kind = data.get("kind", "counts")
-    pairs = {tuple(k): v for k, v in data["counts"]}
+    povm_name = data.get("povm_id", "")
+    if not isinstance(povm_name, str):
+        raise ValueError("povm_id must be a string")
     if kind == "counts":
-        return OutcomeRecord(counts=pairs, m_shots=int(data["M"]),
-                             povm_id=data.get("povm_id", ""),
-                             seed=int(data.get("seed", 0)))
+        counts = _json_outcome_pairs(data["counts"])
+        if set(map(type, counts.values())) - {int}:
+            raise ValueError("counts must be integers")
+        diagnostics = data.get("diagnostics", {})
+        if not isinstance(diagnostics, dict):
+            raise ValueError("diagnostics must be a JSON object")
+        return OutcomeRecord(
+            counts=counts, m_shots=_json_int(data["M"], "M"),
+            povm_id=povm_name, seed=_json_int(data.get("seed", 0), "seed"),
+            diagnostics={k: _json_int(v, f"diagnostic {k!r}")
+                         for k, v in diagnostics.items()})
     if kind == "probabilities":
-        return PopulationRecord(probs=pairs, povm_id=data.get("povm_id", ""),
-                                m_shots=data.get("M"), seed=data.get("seed"))
+        m_shots, seed = data.get("M"), data.get("seed")
+        return PopulationRecord(
+            probs={k: _json_probability(v)
+                   for k, v in _json_outcome_pairs(data["counts"]).items()},
+            povm_id=povm_name,
+            m_shots=None if m_shots is None else _json_int(m_shots, "M"),
+            seed=None if seed is None else _json_int(seed, "seed"))
     raise ValueError(f"unknown record kind {kind!r}")

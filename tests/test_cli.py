@@ -1,12 +1,17 @@
 """Command-line interface: round trips, provenance, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpoqst import experiment
 from mpoqst.cli import main
@@ -142,6 +147,107 @@ def test_estimate_empty_record_is_input_error(workspace, capsys):
                 "--out", workspace / "x"]) == 1
     assert "input error:" in capsys.readouterr().err
     assert not (workspace / "x.json").exists()
+
+
+_NOT_INT = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+                     st.lists(st.integers(), max_size=2))
+_JUNK = st.one_of(_NOT_INT, st.integers(),
+                  st.dictionaries(st.text(max_size=2), st.integers(),
+                                  max_size=2))
+_ESTIMATE_MODES = [[], ["--algorithm", "psgd"], ["--backend", "dense"]]
+
+
+@st.composite
+def _records(draw):
+    """A counts record of n <= 3 sites, valid for the local SIC but for
+    one fault."""
+    n = draw(st.integers(1, 3))
+    outcome = st.lists(st.integers(1, 4), min_size=n, max_size=n)
+    entries = draw(st.lists(st.tuples(outcome, st.integers(1, 50)),
+                            min_size=1, max_size=5,
+                            unique_by=lambda e: tuple(e[0])))
+    counts = [[list(o), c] for o, c in entries]
+    record = {"format": "mpoqst-record", "kind": "counts", "seed": 0,
+              "povm_id": "", "counts": counts}
+    record["M"] = sum(c for _, c in entries)
+    i = draw(st.integers(0, len(counts) - 1))
+    j = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from([
+        "top", "kind", "counts", "entry", "index-type", "count-type",
+        "ragged", "out-of-range", "non-positive", "duplicate", "M-value",
+        "M-type", "seed", "diagnostics", "probability"]))
+    if kind == "top":
+        return draw(_JUNK)
+    if kind == "kind":
+        record["kind"] = draw(_JUNK)
+    elif kind == "counts":
+        record["counts"] = draw(_JUNK)
+    elif kind == "entry":
+        counts[i] = draw(st.one_of(
+            _NOT_INT, st.integers(), st.just([counts[i][0]]),
+            st.just(counts[i] + [1]), st.just([counts[i][1], counts[i][0]])))
+    elif kind == "index-type":
+        counts[i][0][j] = draw(_NOT_INT)
+    elif kind == "count-type":
+        counts[i][1] = draw(_NOT_INT)
+    elif kind == "ragged":
+        length = draw(st.integers(0, n + 2).filter(lambda k: k != n))
+        counts.append([[1] * length, 1])
+        record["M"] += 1
+    elif kind == "out-of-range":
+        counts[i][0][j] = draw(st.one_of(st.integers(max_value=0),
+                                         st.integers(min_value=5)))
+    elif kind == "non-positive":
+        counts[i][1] = draw(st.integers(max_value=0))
+        record["M"] = sum(c for _, c in counts)
+    elif kind == "duplicate":
+        counts.append([list(counts[i][0]), 1])
+        record["M"] += 1
+    elif kind == "M-value":
+        total = record["M"]
+        record["M"] = draw(st.integers().filter(lambda m: m != total))
+    elif kind == "M-type":
+        record["M"] = draw(_NOT_INT)
+    elif kind == "seed":
+        record["seed"] = draw(_NOT_INT)
+    elif kind == "diagnostics":
+        record["diagnostics"] = draw(st.one_of(
+            _NOT_INT, st.dictionaries(st.text(max_size=3), _NOT_INT,
+                                      min_size=1)))
+    else:
+        record["kind"] = "probabilities"
+        counts[i][1] = draw(st.one_of(
+            st.sampled_from([float("nan"), float("inf"), 2 ** 1100]),
+            st.text(max_size=3), st.none(), st.booleans()))
+    return record
+
+
+def _estimate_exit_code(record, mode) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "record.json")
+        with open(path, "w") as fh:
+            fh.write(json.dumps(record))
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as fh:
+            fh.write(json.dumps({"ranks": 1, "max_iters": 2,
+                                 "max_epochs": 1}))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main(["estimate", "--record", path, "--config", config,
+                         "--out", os.path.join(tmp, "fit"), *mode])
+
+
+@pytest.mark.parametrize("mode", _ESTIMATE_MODES)
+def test_estimate_accepts_unfaulted_fuzz_records(mode):
+    record = {"kind": "counts", "M": 5, "seed": 0, "povm_id": "",
+              "counts": [[[1, 2], 2], [[4, 3], 3]]}
+    assert _estimate_exit_code(record, mode) == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(record=_records(), mode=st.sampled_from(_ESTIMATE_MODES))
+def test_estimate_malformed_record_exits_1_or_2(record, mode):
+    assert _estimate_exit_code(record, mode) in (1, 2)
 
 
 def test_missing_file_is_input_error(workspace):

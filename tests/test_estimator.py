@@ -6,6 +6,7 @@ import pytest
 from mpoqst.estimator import (
     STEP_PRESETS,
     EstimatorConfig,
+    _zero_outcome_filler,
     admissible_init_radius,
     admissible_step_interval,
     empirical_operator,
@@ -49,6 +50,11 @@ from mpoqst.tt import (
 # Frozen from the dense reference run (n=3, rank 1, M=1e5, random init,
 # diminishing schedule, seeds below): final recovery error of the descent.
 PGD_N3_REFERENCE_ERROR = 0.009651
+
+# Frozen from the per-outcome implementation of PSGD (one amplitude
+# contraction per outcome, the filler pool listed as tuples): the final
+# recovery error of test_psgd_final_error_pinned_n5's run.
+PSGD_N5_REFERENCE_ERROR = 0.06111405041165265
 
 
 def _mpdo(n, seed, kappa=2, purity=10):
@@ -548,6 +554,56 @@ def test_psgd_close_to_pgd_at_n5():
     err_p = pgd(rec, povm, cfg_p, truth=rho).trace_log[-1].error
     err_s = psgd(rec, povm, cfg_s, truth=rho).trace_log[-1].error
     assert err_s <= 2.0 * err_p
+
+
+def test_psgd_final_error_pinned_n5():
+    povm = ProductPOVM.local_sic(5)
+    rho = _mpdo(5, seed=61)
+    rec = sample_sequential(povm, rho, 2000, seed=62)
+    config = EstimatorConfig(ranks=2, init="random", init_seed=63,
+                             max_epochs=3, **STEP_PRESETS["psgd-random"])
+    out = psgd(rec, povm, config, truth=rho)
+    assert abs(out.trace_log[-1].error - PSGD_N5_REFERENCE_ERROR) <= 1e-10
+
+
+def _filler_by_enumeration(povm, nonzero, count, rng):
+    """Reference for the K <= 2^20 branch of _zero_outcome_filler: every
+    zero-count outcome listed as a tuple, in lexicographic order."""
+    pool = []
+    for flat in range(povm.k_total):
+        idx = np.unravel_index(flat, povm.k_locs)
+        outcome = tuple(int(i) + 1 for i in idx)
+        if outcome not in nonzero:
+            pool.append(outcome)
+    chosen = rng.choice(len(pool), size=min(count, len(pool)), replace=False)
+    return [pool[i] for i in sorted(chosen)]
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("count", [1, 300, 5000])
+def test_zero_outcome_filler_matches_enumeration(seed, count):
+    povm = ProductPOVM.local_sic(5)
+    rec = sample_sequential(povm, _mpdo(5, seed=70 + seed), 400,
+                            seed=80 + seed)
+    nonzero = sorted(rec.counts)
+    rng_want, rng_got = _philox(seed), _philox(seed)
+    want = _filler_by_enumeration(povm, set(nonzero), count, rng_want)
+    got = _zero_outcome_filler(povm, nonzero, count, rng_got)
+    assert got == want
+    assert len(got) == min(count, povm.k_total - len(nonzero))
+    assert all(type(i) is int for o in got for i in o)
+    assert rng_got.random() == rng_want.random()  # same draws consumed
+
+
+def test_zero_outcome_filler_empty_pool():
+    povm = ProductPOVM.local_sic(2)
+    every = list(iter_outcomes(povm))
+    want = _filler_by_enumeration(povm, set(every), 5, _philox(3))
+    assert _zero_outcome_filler(povm, every, 5, _philox(3)) == want == []
 
 
 # ---------------------------------------------------------------------------

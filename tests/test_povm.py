@@ -21,6 +21,7 @@ from mpoqst.povm import (
     iter_outcomes,
     marginal_prefix_prob,
     measure_map_dense,
+    outcome_amplitudes,
     povm_from_json_dict,
     povm_id,
     povm_to_json_dict,
@@ -382,6 +383,65 @@ def test_outcome_index_validation():
         prob_of_outcome(povm, mm, (0, 1))
     with pytest.raises(ValueError):
         prob_of_outcome(povm, mm, (1, 5))
+
+
+def _amplitude_loop(povm, state, outcome):
+    """Per-outcome reference contraction: one transfer matrix per site."""
+    v = np.ones(1, dtype=complex)
+    for site, core, i in zip(povm.sites, state.cores, outcome):
+        element = site.elements[i - 1].reshape(-1, order="F").conj()
+        v = v @ np.tensordot(element, core, axes=[[0], [1]])
+    return v[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_outcome_amplitudes_match_loop_and_dense(n):
+    povm = ProductPOVM.local_sic(n)
+    rho = random_mpdo(MPDOGenConfig(n=n, kappa=2, purity=10, seed=20 + n))
+    outcomes = list(iter_outcomes(povm))
+    amps = outcome_amplitudes(povm, rho, outcomes)
+    assert amps.shape == (povm.k_total,)
+    assert np.abs(amps - measure_map_dense(povm, tt_to_dense(rho))).max() < 1e-12
+    loop = np.array([_amplitude_loop(povm, rho, o) for o in outcomes])
+    assert np.abs(amps - loop).max() < 1e-12
+
+
+def test_outcome_amplitudes_complex_for_non_hermitian_input():
+    povm = ProductPOVM.local_sic(3)
+    state = random_tt(3, 2, (3, 3), seed=5)
+    outcomes = np.array(list(iter_outcomes(povm)))
+    amps = outcome_amplitudes(povm, state, outcomes)
+    matrix = tt_to_dense(state).matrix
+    want = np.array([hs(a, matrix) for a in dense_from_product(povm).elements])
+    assert np.abs(want.imag).max() > 1e-2 * np.abs(want).max()
+    scale = np.abs(want).max()
+    assert np.abs(amps - want).max() < 1e-12 * scale
+    loop = np.array([_amplitude_loop(povm, state, o) for o in outcomes])
+    assert np.abs(amps - loop).max() < 1e-12 * scale
+
+
+def test_outcome_amplitudes_empty_batch_and_validation():
+    povm = ProductPOVM.local_sic(2)
+    mm = maximally_mixed(2)
+    assert outcome_amplitudes(povm, mm, []).shape == (0,)
+    assert outcome_amplitudes(povm, mm, np.zeros((0, 2), int)).shape == (0,)
+    for bad in ([(0, 1)], [(1, 5)], [(1, 2), (1, -1)], [(1, 2, 3)], [(1,)],
+                [(1, 2), (1,)], [(1, 2 ** 70)]):
+        with pytest.raises(ValueError):
+            outcome_amplitudes(povm, mm, bad)
+    with pytest.raises(ValueError):
+        outcome_amplitudes(ProductPOVM.local_sic(3), mm, [(1, 1, 1)])
+
+
+def test_fused_is_built_once_and_read_only():
+    local = sic_qubit()
+    fused = local.fused()
+    assert fused is local.fused()
+    assert not fused.flags.writeable
+    want = np.stack([e.reshape(-1, order="F") for e in local.elements])
+    assert np.array_equal(fused, want)
+    assert "_fused" not in repr(local)
+    assert set(povm_to_json_dict(local)) == {"kind", "d", "elements"}
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,16 @@ def test_record_json_round_trip():
     assert back.counts == rec.counts
     assert back.m_shots == rec.m_shots
     assert back.seed == rec.seed
+    assert set(rec.diagnostics) == {"clamped", "aborted"}
+    assert back.diagnostics == rec.diagnostics
+    noisy = OutcomeRecord(counts={(1, 2, 3): 2}, m_shots=2, povm_id="x",
+                          seed=1, diagnostics={"clamped": 3, "aborted": 1})
+    back = record_from_json_dict(json.loads(json.dumps(
+        record_to_json_dict(noisy))))
+    assert back.diagnostics == {"clamped": 3, "aborted": 1}
+    data = record_to_json_dict(rec)
+    del data["diagnostics"]  # records written without the key still load
+    assert record_from_json_dict(data).diagnostics == {}
 
     pop = population_record(povm, state)
     back = record_from_json_dict(json.loads(json.dumps(
