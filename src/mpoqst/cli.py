@@ -80,13 +80,17 @@ def _write_json(path, payload) -> None:
 
 
 def _load_povm(label: str, n: int = None):
-    """Resolve a POVM argument: 'local-sic' (needs n) or a JSON file."""
+    """Resolve a POVM argument: 'local-sic' (needs n) or a JSON file.
+    Given n, the POVM must be a product POVM on n sites."""
     if label == "local-sic":
         if n is None:
             raise ValueError("local-sic POVM needs --n")
         return ProductPOVM.local_sic(n)
     with open(label) as fh:
-        return povm_from_json_dict(json.load(fh))
+        povm = povm_from_json_dict(json.load(fh))
+    if n is not None and not (isinstance(povm, ProductPOVM) and povm.n == n):
+        raise ValueError(f"{label} is not a product POVM on {n} sites")
+    return povm
 
 
 def _load_state(path):
@@ -140,6 +144,8 @@ def cmd_estimate(args) -> int:
     povm = _load_povm(args.povm, n=n_sites)
     if record.povm_id and record.povm_id != povm_id(povm):
         raise ValueError("record was measured with a different POVM")
+    for site in povm.sites:  # ValueError on a non-Hermitian element
+        site.hermitian_coordinates()
     overrides = {}
     if args.config:
         with open(args.config) as fh:

@@ -14,12 +14,17 @@ sum_k <A_k, rho> A_k (a site-local superoperator, rank-preserving) and a
 data term E = sum_k p_hat_k A_k that is fixed for a given record.  E is
 assembled once as an exact MPO whose bond bases are the distinct observed
 outcome prefixes/suffixes, so its bond R grows with the number of
-distinct outcomes, and it is right-orthogonalized once per run.  Each
-step rounds rho - mu Phi(rho) + mu E with ``tt_round_sum``: only the
-rank-2r part is orthogonalized against E's fixed orthonormal rows, which
-costs O(n d^2 r R^2) per step instead of the O(n d^2 R^3) of rounding the
-whole sum.  The spectral initialization and the loss cross term <E, rho>
-read the same orthogonalized E.
+distinct outcomes, and it is right-orthogonalized once per run.  Since
+p_hat is real and every A_k Hermitian, E's cores are real in a real
+orthonormal basis of the Hermitian d x d matrices (tt.hermitian_basis):
+``empirical_operator`` builds and orthogonalizes them in float64 and maps
+the physical legs back to the fused basis once at the end.  Each step
+rounds rho - mu Phi(rho) + mu E with ``tt_round_sum``: only the rank-2r
+part is orthogonalized against E's fixed orthonormal rows, which costs
+O(n d^2 r R^2) per step instead of the O(n d^2 R^3) of rounding the whole
+sum.  PGD's spectral initialization and loss cross term <E, rho> read the
+same E; PSGD builds none and takes the cross term from the amplitudes
+of the record's observed outcomes.
 """
 
 from __future__ import annotations
@@ -43,13 +48,16 @@ from .tt import (
     DenseOperator,
     NumericalError,
     TTTensor,
+    _orthogonalize_left,
+    _orthogonalize_right,
     cap_ranks,
+    max_tt_ranks,
     tt_add,
     tt_adjoint,
     tt_from_dense,
+    tt_from_hermitian_coordinates,
     tt_inner,
     tt_norm,
-    tt_right_orthogonalize,
     tt_round,
     tt_round_sum,
     tt_scale,
@@ -158,22 +166,24 @@ class Estimate:
 # sparse outcome sums as exact MPOs
 
 
-def outcome_sum_tt(outcomes, weights, povm: ProductPOVM) -> TTTensor:
-    """Exact MPO for sum_k w_k B_{i_1(k)} x ... x B_{i_n(k)}.
+def _trie_cores(outcomes, weights, povm: ProductPOVM, local: list) -> list:
+    """Cores of the exact MPO sum_k w_k v_{i_1(k)} x ... x v_{i_n(k)},
+    where local[l] holds site l's vectors v_i as rows (k_loc, d*d) and
+    sets the cores' dtype.
 
     Bond bases are the distinct outcome prefixes left of a bridge site and
     the distinct suffixes right of it, so the representation is exact with
     bond dimensions min(#prefixes, #suffixes) and never grows with the
     number of terms beyond the enumeration caps.
     """
-    n, d = povm.n, povm.d
-    dd = d * d
+    n = povm.n
+    dd = povm.d * povm.d
     pairs = sorted(zip((tuple(o) for o in outcomes), weights))
     if not pairs:
         raise ValueError("need at least one outcome")
     _outcome_indices(povm, [o for o, _ in pairs])
     bridge = (n + 1) // 2  # 1-based site carrying the weights
-    fused = [site.fused() for site in povm.sites]  # (k_loc, d*d) each
+    dtype = local[0].dtype
 
     def prefix_basis(l):
         return sorted({o[:l] for o, _ in pairs})
@@ -187,47 +197,79 @@ def outcome_sum_tt(outcomes, weights, povm: ProductPOVM) -> TTTensor:
             left = prefix_basis(l - 1)
             right = prefix_basis(l)
             idx_l = {q: i for i, q in enumerate(left)}
-            core = np.zeros((len(left), dd, len(right)), dtype=complex)
+            core = np.zeros((len(left), dd, len(right)), dtype=dtype)
             for ridx, q in enumerate(right):
-                core[idx_l[q[:-1]], :, ridx] = fused[l - 1][q[-1] - 1]
+                core[idx_l[q[:-1]], :, ridx] = local[l - 1][q[-1] - 1]
         elif l == bridge:
             left = prefix_basis(l - 1)
             right = suffix_basis(l)
             idx_l = {q: i for i, q in enumerate(left)}
             idx_r = {c: i for i, c in enumerate(right)}
-            core = np.zeros((len(left), dd, len(right)), dtype=complex)
+            core = np.zeros((len(left), dd, len(right)), dtype=dtype)
             for o, w in pairs:
                 core[idx_l[o[:l - 1]], :, idx_r[o[l:]]] += (
-                    w * fused[l - 1][o[l - 1] - 1])
+                    w * local[l - 1][o[l - 1] - 1])
         else:
             left = suffix_basis(l - 1)
             right = suffix_basis(l)
             idx_r = {c: i for i, c in enumerate(right)}
-            core = np.zeros((len(left), dd, len(right)), dtype=complex)
+            core = np.zeros((len(left), dd, len(right)), dtype=dtype)
             for lidx, c in enumerate(left):
-                core[lidx, :, idx_r[c[1:]]] = fused[l - 1][c[0] - 1]
+                core[lidx, :, idx_r[c[1:]]] = local[l - 1][c[0] - 1]
         cores.append(core)
-    out = TTTensor(tuple(cores), d=d)
-    caps = [min(dd ** l, dd ** (n - l)) for l in range(1, n)]
-    if any(r > c for r, c in zip(out.ranks[1:-1], caps)):
+    return cores
+
+
+def _over_caps(cores: list, povm: ProductPOVM) -> bool:
+    """Whether a bond exceeds its structural cap, possible only when
+    k_loc > d^2."""
+    caps = max_tt_ranks(povm.n, povm.d)
+    return any(c.shape[2] > cap for c, cap in zip(cores, caps))
+
+
+def outcome_sum_tt(outcomes, weights, povm: ProductPOVM) -> TTTensor:
+    """Exact MPO for sum_k w_k B_{i_1(k)} x ... x B_{i_n(k)}, built on the
+    outcome prefix tree (see _trie_cores) and rounded to the structural
+    caps where a bond exceeds them."""
+    cores = _trie_cores(outcomes, weights, povm,
+                        [site.fused() for site in povm.sites])
+    out = TTTensor(tuple(cores), d=povm.d)
+    if _over_caps(cores, povm):
         out = tt_round(out, truncation_tol=1e-15)
     return out
 
 
 def empirical_operator(record, povm: ProductPOVM) -> TTTensor:
-    """The adjoint-map image sum_k p_hat_k A_k of the recorded weights."""
+    """The adjoint-map image E = sum_k p_hat_k A_k of the recorded
+    weights, returned right-orthogonal: cores 2..n have orthonormal rows,
+    as tt_right_orthogonalize gives them.
+
+    p_hat is real and every A_k Hermitian, so the prefix-tree cores are
+    built in the real coordinates of tt.hermitian_basis and orthogonalized
+    in float64; only then is each physical leg mapped back to the fused
+    basis.  A bond over its structural cap (k_loc > d^2) is first cut
+    down by a left-to-right QR sweep.  ValueError when a POVM element is
+    not Hermitian."""
     weights = record.weights()
     outcomes = sorted(weights)
-    return outcome_sum_tt(outcomes, [weights[o] for o in outcomes], povm)
+    coords = [site.hermitian_coordinates() for site in povm.sites]
+    cores = _trie_cores(outcomes, [weights[o] for o in outcomes], povm,
+                        coords)
+    dd = povm.d * povm.d
+    if _over_caps(cores, povm):
+        _orthogonalize_left(cores, dd)
+    _orthogonalize_right(cores, dd)
+    return tt_from_hermitian_coordinates(cores, povm.d)
 
 
 # ---------------------------------------------------------------------------
 # loss and gradient
 
 
-def _loss_from_parts(state, channel, empirical, weight_sq: float) -> float:
+def _loss_from_parts(state, channel, cross: float, weight_sq: float) -> float:
+    """The loss from its three terms: <rho, Phi(rho)>, the cross term
+    <E, rho> and sum p_hat^2."""
     quad = tt_inner(state, channel).real
-    cross = tt_inner(empirical, state).real
     return max(quad - 2.0 * cross + weight_sq, 0.0)
 
 
@@ -240,7 +282,8 @@ def loss(state: TTTensor, record, povm: ProductPOVM,
         empirical = empirical_operator(record, povm)
     channel = sum_channel(povm, state)
     weight_sq = float(sum(w * w for w in record.weights().values()))
-    return _loss_from_parts(state, channel, empirical, weight_sq)
+    return _loss_from_parts(state, channel, tt_inner(empirical, state).real,
+                            weight_sq)
 
 
 def _dense_weights(record, povm: ProductPOVM) -> np.ndarray:
@@ -350,13 +393,13 @@ def spectral_init(record, povm: ProductPOVM, ranks,
     """Project the rescaled adjoint map K (d^n + 1) / d^n sum p_hat_k A_k
     of the empirical probabilities onto the constraint set.
 
-    ``empirical``, if given, is the record's empirical operator already
-    right-orthogonalized (tt_right_orthogonalize), which makes the
+    ``empirical``, if given, is the record's empirical operator as
+    empirical_operator returns it: right-orthogonal, which makes the
     rounding cheap."""
     if not record.weights():
         raise ValueError("record is empty")
     if empirical is None:
-        empirical = tt_right_orthogonalize(empirical_operator(record, povm))
+        empirical = empirical_operator(record, povm)
     n, d = povm.n, povm.d
     scale = povm.k_total * (d ** n + 1) / d ** n
     return _project_with_data(tt_zeros(n, d), empirical, scale, ranks)
@@ -469,12 +512,13 @@ def pgd(record, povm: ProductPOVM, config: EstimatorConfig,
     n, d = povm.n, povm.d
     ranks = config.rank_vector(n, d)
     t0 = time.perf_counter()
-    emp = tt_right_orthogonalize(empirical_operator(record, povm))
+    emp = empirical_operator(record, povm)
     state = _initial_state(record, povm, config, ranks, emp)
     weight_sq = float(sum(w * w for w in record.weights().values()))
     log = []
     channel = sum_channel(povm, state)
-    cur_loss = _loss_from_parts(state, channel, emp, weight_sq)
+    cur_loss = _loss_from_parts(state, channel, tt_inner(emp, state).real,
+                                weight_sq)
     _log_row(log, 0, cur_loss, state, truth, float("nan"), t0)
     losses = [cur_loss]
     reason = "max_iters"
@@ -490,7 +534,8 @@ def pgd(record, povm: ProductPOVM, config: EstimatorConfig,
                 f"decomposition failed at iteration {tau + 1} "
                 f"(step {mu:.3g} too large): {exc}") from exc
         channel = sum_channel(povm, state)
-        cur_loss = _loss_from_parts(state, channel, emp, weight_sq)
+        cur_loss = _loss_from_parts(state, channel,
+                                    tt_inner(emp, state).real, weight_sq)
         iterations = tau + 1
         if not np.isfinite(cur_loss):
             raise NumericalError(
@@ -619,11 +664,17 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
     batch = min(config.batch_size, n_epoch)
     t0 = time.perf_counter()
     state = _initial_state(record, povm, config, ranks)
-    emp = empirical_operator(record, povm)
+    p_obs = np.array([weights[o] for o in nonzero])
     weight_sq = float(sum(w * w for w in weights.values()))
-    log = []
-    cur_loss = _loss_from_parts(state, sum_channel(povm, state), emp,
+
+    def epoch_loss(rho):
+        # cross term <E, rho> = sum_k p_hat_k <A_k, rho> over the record
+        cross = float(p_obs @ outcome_amplitudes(povm, rho, nonzero).real)
+        return _loss_from_parts(rho, sum_channel(povm, rho), cross,
                                 weight_sq)
+
+    log = []
+    cur_loss = epoch_loss(state)
     _log_row(log, 0, cur_loss, state, truth, float("nan"), t0)
     epoch_losses = [cur_loss]
     reason = "max_epochs"
@@ -648,8 +699,7 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
             tau += 1
             if config.check_iterates:
                 _check_iterate(state)
-        cur_loss = _loss_from_parts(state, sum_channel(povm, state), emp,
-                                    weight_sq)
+        cur_loss = epoch_loss(state)
         if not np.isfinite(cur_loss):
             raise NumericalError(
                 f"non-finite loss in epoch {epoch + 1}")

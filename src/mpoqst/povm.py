@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 from math import comb, factorial
 
@@ -23,12 +24,20 @@ from .tt import (
     TTTensor,
     fuse_local_operator,
     fuse_dense_to_tensor,
+    hermitian_basis,
 )
+
+# Largest entry of A - A^dag for which a local POVM element counts as
+# Hermitian and gets real coordinates.
+HERMITIAN_TOL = 1e-12
 
 # Probability values in [-PROB_CLAMP_TOL, 0) are floating-point noise on a
 # PSD state and are clamped to 0; anything more negative signals a
 # genuinely non-PSD input.
 PROB_CLAMP_TOL = 1e-10
+
+# Largest site count of a product POVM file's {"local", "repeat"} form.
+MAX_REPEAT = 2 ** 16
 
 # Materialization guard for permutation-symmetrizer matrices.
 MAX_SYM_ENTRIES = 1_000_000
@@ -42,13 +51,15 @@ class NonPhysicalStateError(NumericalError):
 # POVM containers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalPOVM:
-    """Single-site POVM: a list of d x d PSD matrices summing to I_d."""
+    """Single-site POVM: a list of d x d PSD matrices summing to I_d.
+
+    Two sites are equal when d and the elements are equal by value."""
 
     elements: tuple
     d: int
-    _fused: np.ndarray = field(init=False, repr=False, compare=False)
+    _fused: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         els = tuple(np.ascontiguousarray(e, dtype=complex) for e in self.elements)
@@ -56,10 +67,20 @@ class LocalPOVM:
             if e.shape != (self.d, self.d):
                 raise ValueError(f"element shape {e.shape} != ({self.d}, {self.d})")
             e.flags.writeable = False
+        if not els:
+            raise ValueError("need at least one element")
         object.__setattr__(self, "elements", els)
         fused = np.stack([fuse_local_operator(e) for e in els])
         fused.flags.writeable = False
         object.__setattr__(self, "_fused", fused)
+
+    def __eq__(self, other):
+        if not isinstance(other, LocalPOVM):
+            return NotImplemented
+        return self.d == other.d and np.array_equal(self._fused, other._fused)
+
+    def __hash__(self):
+        return hash((self.d, self.k_loc))
 
     @property
     def k_loc(self) -> int:
@@ -69,6 +90,26 @@ class LocalPOVM:
         """(k_loc, d*d) read-only matrix of column-major flattened
         elements, built once per POVM."""
         return self._fused
+
+    @cached_property
+    def _coords(self):
+        """The real coordinates, or None when an element is not Hermitian."""
+        if any(np.abs(e - e.conj().T).max() > HERMITIAN_TOL
+               for e in self.elements):
+            return None
+        coords = (self._fused @ hermitian_basis(self.d).conj().T).real.copy()
+        coords.flags.writeable = False
+        return coords
+
+    def hermitian_coordinates(self) -> np.ndarray:
+        """(k_loc, d*d) read-only real coordinates of the elements in
+        :func:`tt.hermitian_basis`, built on first use: fused() equals
+        them times U.  ValueError when an element is not Hermitian to
+        HERMITIAN_TOL."""
+        if self._coords is None:
+            raise ValueError(
+                f"a POVM element is not Hermitian to {HERMITIAN_TOL:.0e}")
+        return self._coords
 
 
 @dataclass(frozen=True)
@@ -449,7 +490,10 @@ def measure_map_dense(povm, state: DenseOperator) -> np.ndarray:
 
 def _site_transfers(povm: ProductPOVM, state: TTTensor) -> list:
     """Per site, the stack of outcome transfer matrices
-    E_i = sum_s conj(b_i(s)) core[:, s, :], shape (k_loc, r_l-1, r_l)."""
+    E_i = sum_s conj(b_i(s)) core[:, s, :], shape (k_loc, r_l-1, r_l).
+    ValueError when the POVM and the state differ in n or d."""
+    if povm.n != state.n or povm.d != state.d:
+        raise ValueError("POVM and state shapes do not match")
     out = []
     for site, core in zip(povm.sites, state.cores):
         out.append(np.tensordot(site.fused().conj(), core, axes=[[1], [1]]))
@@ -473,8 +517,6 @@ def probability_tensor(povm: ProductPOVM, state: TTTensor) -> np.ndarray:
     real tensor; requires n <= N_DENSE_MAX sites of enumeration."""
     if povm.k_total > (povm.sites[0].k_loc ** N_DENSE_MAX):
         raise ValueError("outcome space too large to enumerate")
-    if povm.n != state.n or povm.d != state.d:
-        raise ValueError("POVM and state shapes do not match")
     acc = np.ones((1, 1), dtype=complex)  # (outcomes-so-far, bond)
     for trans in _site_transfers(povm, state):
         acc = np.einsum("pr,krs->pks", acc, trans)
@@ -504,8 +546,6 @@ def outcome_amplitudes(povm: ProductPOVM, state: TTTensor,
     complex vector (no clamping; may be negative or complex-residued for
     non-Hermitian iterates).  One left-to-right contraction through the
     sampler's per-site transfer stacks, O(B n d^2 r^2)."""
-    if povm.n != state.n or povm.d != state.d:
-        raise ValueError("POVM and state shapes do not match")
     idx = _outcome_indices(povm, outcomes)
     v = np.ones((len(idx), 1), dtype=complex)
     for l, trans in enumerate(_site_transfers(povm, state)):
@@ -634,9 +674,35 @@ def _matrix_to_json(m: np.ndarray):
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def _matrix_from_json(raw) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
+def _json_int(value, what: str) -> int:
+    """A JSON integer; ValueError on anything else, booleans included."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list")
+    return value
+
+
+def _matrix_from_json(raw, shape: tuple) -> np.ndarray:
+    """Complex array of the given shape from nested [re, im] pairs of
+    finite JSON numbers; ValueError on any other shape or entry."""
+    arr = np.asarray(raw, dtype=object)
+    if arr.shape != shape + (2,) or any(type(x) not in (int, float)
+                                        for x in arr.flat):
+        raise ValueError(
+            f"expected a {shape} array of [re, im] number pairs")
+    try:
+        values = arr.astype(float)
+        finite = np.isfinite(values).all()
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError("POVM entries must be finite numbers")
+    return values[..., 0] + 1j * values[..., 1]
 
 
 def local_povm_to_json_dict(povm: LocalPOVM) -> dict:
@@ -645,8 +711,12 @@ def local_povm_to_json_dict(povm: LocalPOVM) -> dict:
 
 
 def local_povm_from_json_dict(data: dict) -> LocalPOVM:
-    els = tuple(_matrix_from_json(e) for e in data["elements"])
-    return LocalPOVM(elements=els, d=int(data["d"]))
+    if not isinstance(data, dict):
+        raise ValueError("a local POVM must be a JSON object")
+    d = _json_int(data["d"], "d")
+    els = tuple(_matrix_from_json(e, (d, d))
+                for e in _json_list(data["elements"], "elements"))
+    return LocalPOVM(elements=els, d=d)
 
 
 def product_povm_to_json_dict(povm: ProductPOVM) -> dict:
@@ -659,8 +729,12 @@ def product_povm_to_json_dict(povm: ProductPOVM) -> dict:
 def product_povm_from_json_dict(data: dict) -> ProductPOVM:
     if "local" in data:
         local = local_povm_from_json_dict(data["local"])
-        return ProductPOVM(sites=(local,) * int(data["repeat"]))
-    sites = tuple(local_povm_from_json_dict(s) for s in data["sites"])
+        repeat = _json_int(data["repeat"], "repeat")
+        if not 1 <= repeat <= MAX_REPEAT:
+            raise ValueError(f"repeat must be in 1..{MAX_REPEAT}, got {repeat}")
+        return ProductPOVM(sites=(local,) * repeat)
+    sites = tuple(local_povm_from_json_dict(s)
+                  for s in _json_list(data["sites"], "sites"))
     return ProductPOVM(sites=sites)
 
 
@@ -673,11 +747,14 @@ def dense_povm_to_json_dict(povm: DensePOVM) -> dict:
 
 
 def dense_povm_from_json_dict(data: dict) -> DensePOVM:
-    els = tuple(_matrix_from_json(e) for e in data["elements"])
+    dim = _json_int(data["dim"], "dim")
+    els = tuple(_matrix_from_json(e, (dim, dim))
+                for e in _json_list(data["elements"], "elements"))
     vecs = None
     if "vectors" in data:
-        vecs = tuple(_matrix_from_json(v) for v in data["vectors"])
-    return DensePOVM(elements=els, dim=int(data["dim"]), vectors=vecs)
+        vecs = tuple(_matrix_from_json(v, (dim,))
+                     for v in _json_list(data["vectors"], "vectors"))
+    return DensePOVM(elements=els, dim=dim, vectors=vecs)
 
 
 def povm_to_json_dict(povm) -> dict:
@@ -691,6 +768,9 @@ def povm_to_json_dict(povm) -> dict:
 
 
 def povm_from_json_dict(data: dict):
+    """POVM from its JSON form; ValueError on a malformed one."""
+    if not isinstance(data, dict):
+        raise ValueError("POVM must be a JSON object")
     kind = data.get("kind")
     if kind == "local":
         return local_povm_from_json_dict(data)

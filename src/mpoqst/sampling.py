@@ -23,6 +23,7 @@ from .povm import (
     NonPhysicalStateError,
     PROB_CLAMP_TOL,
     ProductPOVM,
+    _json_int,
     _right_environments,
     _site_transfers,
     clamp_probabilities,
@@ -263,12 +264,6 @@ def record_to_json_dict(record) -> dict:
                 "counts": [[list(k), v]
                            for k, v in sorted(record.probs.items())]}
     raise TypeError(f"not a record: {type(record)}")
-
-
-def _json_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _json_outcome_pairs(raw) -> dict:

@@ -48,6 +48,26 @@ def fuse_local_operator(op: np.ndarray) -> np.ndarray:
     return np.asarray(op, dtype=complex).reshape(-1, order="F")
 
 
+def hermitian_basis(d: int) -> np.ndarray:
+    """(d*d, d*d) unitary U whose rows are the fused forms of a real
+    orthonormal basis of the Hermitian d x d matrices: the diagonal units
+    E_ii, then for each i < j the pair (E_ij + E_ji)/sqrt2 and
+    i (E_ji - E_ij)/sqrt2.  A Hermitian H has the real coordinates
+    x = fuse(H) @ U^H, and fuse(H) = x @ U."""
+    dd = d * d
+    basis = np.zeros((dd, d, d), dtype=complex)
+    for i in range(d):
+        basis[i, i, i] = 1.0
+    row = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            basis[row, i, j] = basis[row, j, i] = 1 / np.sqrt(2.0)
+            basis[row + 1, j, i] = 1j / np.sqrt(2.0)
+            basis[row + 1, i, j] = -1j / np.sqrt(2.0)
+            row += 2
+    return basis.transpose(0, 2, 1).reshape(dd, dd)  # rows fused as i + d*j
+
+
 @dataclass(frozen=True)
 class TTTensor:
     """Tensor-train operator: cores[l] has shape (r_{l-1}, d*d, r_l)."""
@@ -375,6 +395,32 @@ def _orthogonalize_right(cores: list, dd: int) -> None:
         q, rmat = np.linalg.qr(cores[l].reshape(r0, dd * r1).T)
         cores[l] = np.ascontiguousarray(q.T).reshape(-1, dd, r1)
         cores[l - 1] = np.tensordot(cores[l - 1], rmat.T, axes=[[2], [0]])
+
+
+def _orthogonalize_left(cores: list, dd: int) -> None:
+    """Left-to-right QR sweep, in place: cores 1..n-1 of the list get
+    left-orthonormal unfoldings (r*d*d, r') and the last core absorbs the
+    norm.  Each bond shrinks to at most d*d times the one left of it."""
+    for l in range(len(cores) - 1):
+        r0, _, r1 = cores[l].shape
+        q, rmat = np.linalg.qr(cores[l].reshape(r0 * dd, r1))
+        cores[l] = q.reshape(r0, dd, -1)
+        cores[l + 1] = np.tensordot(rmat, cores[l + 1], axes=[[1], [0]])
+
+
+def tt_from_hermitian_coordinates(cores, d: int) -> TTTensor:
+    """The TTTensor of real cores (r, d*d, r') whose physical leg holds
+    coordinates in :func:`hermitian_basis`: each core's leg is mapped
+    back by U, as two real products with U.real and U.imag."""
+    u = hermitian_basis(d)
+    re_t, im_t = u.real.T.copy(), u.imag.T.copy()
+    out = []
+    for core in cores:
+        fused = np.empty(core.shape, dtype=complex)
+        fused.real = re_t @ core  # (dd, dd) @ (r, dd, r'), batched over r
+        fused.imag = im_t @ core
+        out.append(fused)
+    return TTTensor(tuple(out), d=d)
 
 
 def _truncate_left_to_right(first, absorb, n: int, d: int, target_ranks,

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from mpoqst import experiment
 from mpoqst.cli import main
+from mpoqst.povm import MAX_REPEAT, local_povm_to_json_dict, sic_qubit
 from mpoqst.tt import tt_from_json_dict
 
 
@@ -248,6 +249,151 @@ def test_estimate_accepts_unfaulted_fuzz_records(mode):
 @given(record=_records(), mode=st.sampled_from(_ESTIMATE_MODES))
 def test_estimate_malformed_record_exits_1_or_2(record, mode):
     assert _estimate_exit_code(record, mode) in (1, 2)
+
+
+def _sic_site() -> dict:
+    return local_povm_to_json_dict(sic_qubit())
+
+
+def test_measure_with_equal_sites_file_then_estimate(workspace):
+    # two equal but distinct sites share the local-sic serialization
+    state = _generate(workspace)
+    sites = workspace / "sites.json"
+    sites.write_text(json.dumps({"kind": "product",
+                                 "sites": [_sic_site(), _sic_site()]}))
+    record = workspace / "rec.json"
+    assert run(["measure", "--state", state, "--povm", sites,
+                "--shots", 500, "--out", record]) == 0
+    cfg = workspace / "cfg.json"
+    cfg.write_text(json.dumps({"ranks": 4, "max_iters": 3}))
+    assert run(["estimate", "--record", record, "--povm", "local-sic",
+                "--config", cfg, "--out", workspace / "fit"]) == 0
+
+
+_MEASURE_MODES = [[], ["--exact"], ["--sampler", "enumerate"]]
+_NOT_NUMBER = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.lists(st.floats(), max_size=2),
+    st.sampled_from([float("nan"), float("inf"), 2 ** 1100]))
+
+
+@st.composite
+def _povm_files(draw):
+    """A product POVM file for a 2-site state, the local SIC in the
+    {"local", "repeat"} or the {"sites"} form, but for one fault."""
+    site = _sic_site()
+    shared = draw(st.booleans())
+    if shared:
+        povm = {"kind": "product", "local": site, "repeat": 2}
+    else:
+        povm = {"kind": "product", "sites": [site, _sic_site()]}
+    els = site["elements"]
+    i = draw(st.integers(0, len(els) - 1))
+    r, c, p = (draw(st.integers(0, 1)) for _ in range(3))
+    kind = draw(st.sampled_from([
+        "top", "kind", "missing", "d", "elements", "element", "ragged",
+        "shape", "entry", "repeat", "site-count"]))
+    if kind == "top":
+        return draw(_JUNK)
+    if kind == "kind":
+        povm["kind"] = draw(st.one_of(_JUNK, st.text(max_size=8)).filter(
+            lambda k: k != "product"))
+    elif kind == "missing":
+        holder = draw(st.sampled_from([povm, site]))
+        del holder[draw(st.sampled_from(sorted(holder)))]
+    elif kind == "d":
+        site["d"] = draw(st.one_of(_NOT_INT,
+                                   st.integers().filter(lambda v: v != 2)))
+    elif kind == "elements":
+        site["elements"] = draw(_JUNK)
+    elif kind == "element":
+        els[i] = draw(_JUNK)
+    elif kind == "ragged":
+        target = draw(st.sampled_from(["row", "pair", "extra"]))
+        if target == "row":
+            els[i][r] = els[i][r][:1]
+        elif target == "pair":
+            els[i][r][c] = els[i][r][c][:1]
+        else:
+            els[i][r].append([0.0, 0.0])
+    elif kind == "shape":
+        els[i] = draw(st.sampled_from([
+            [[[0.0, 0.0]] * 3] * 3,                   # 3 x 3
+            [[0.5, 0.0], [0.0, 0.0]],                # no [re, im] level
+            [[[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]] * 2,  # triples
+            [els[i]]]))                               # one level too deep
+    elif kind == "entry":
+        els[i][r][c][p] = draw(_NOT_NUMBER)
+    elif kind == "repeat":  # not a positive integer, or not a site list
+        if shared:
+            povm["repeat"] = draw(st.one_of(
+                _NOT_INT, st.integers(max_value=0),
+                st.integers(min_value=MAX_REPEAT + 1)))
+        else:
+            povm["sites"] = draw(_JUNK)
+    else:  # a site count other than the state's 2
+        count = draw(st.integers(0, 5).filter(lambda k: k != 2))
+        if shared:
+            povm["repeat"] = count
+        else:
+            povm["sites"] = [_sic_site() for _ in range(count)]
+    return povm
+
+
+def _measure_exit_code(povm, mode) -> int:
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        state = os.path.join(tmp, "state.json")
+        assert main(["generate", "--n", "2", "--kappa", "2",
+                     "--out", state]) == 0
+        path = os.path.join(tmp, "povm.json")
+        with open(path, "w") as fh:
+            fh.write(json.dumps(povm))
+        return main(["measure", "--state", state, "--povm", path,
+                     "--shots", "20", "--out", os.path.join(tmp, "rec.json"),
+                     *mode])
+
+
+@pytest.mark.parametrize("mode", _MEASURE_MODES)
+@pytest.mark.parametrize("povm", [
+    {"kind": "product", "local": _sic_site(), "repeat": 2},
+    {"kind": "product", "sites": [_sic_site(), _sic_site()]}],
+    ids=["shared", "sites"])
+def test_measure_accepts_unfaulted_fuzz_povm(povm, mode):
+    assert _measure_exit_code(povm, mode) == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(povm=_povm_files(), mode=st.sampled_from(_MEASURE_MODES))
+def test_measure_malformed_povm_exits_1_or_2(povm, mode):
+    assert _measure_exit_code(povm, mode) in (1, 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(i=st.integers(0, 3), r=st.integers(0, 1), c=st.integers(0, 1),
+       eps=st.floats(1e-11, 1.0), mode=st.sampled_from(_ESTIMATE_MODES))
+def test_estimate_non_hermitian_povm_exits_1(i, r, c, eps, mode):
+    site = _sic_site()
+    site["elements"][i][r][c][1] += eps  # imaginary part of one entry
+    with tempfile.TemporaryDirectory() as tmp:
+        povm = os.path.join(tmp, "povm.json")
+        with open(povm, "w") as fh:
+            fh.write(json.dumps({"kind": "product", "local": site,
+                                 "repeat": 2}))
+        record = os.path.join(tmp, "record.json")
+        with open(record, "w") as fh:
+            fh.write(json.dumps({"kind": "counts", "M": 5, "seed": 0,
+                                 "povm_id": "",
+                                 "counts": [[[1, 2], 2], [[4, 3], 3]]}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["estimate", "--record", record, "--povm", povm,
+                         "--out", os.path.join(tmp, "fit"), *mode])
+    assert code == 1
+    assert err.getvalue().startswith("input error:")
+    assert "Hermitian" in err.getvalue()
 
 
 def test_missing_file_is_input_error(workspace):

@@ -6,6 +6,7 @@ import pytest
 from mpoqst.estimator import (
     STEP_PRESETS,
     EstimatorConfig,
+    _project_with_data,
     _zero_outcome_filler,
     admissible_init_radius,
     admissible_step_interval,
@@ -26,25 +27,36 @@ from mpoqst.estimator import (
     wirtinger_gradient,
 )
 from mpoqst.povm import (
+    LocalPOVM,
     ProductPOVM,
     dense_from_product,
     iter_outcomes,
+    sic_qubit,
     sum_channel,
+    wh_sic_from_fiducial,
 )
-from mpoqst.sampling import population_record, sample_enumerate, sample_sequential
+from mpoqst.sampling import (
+    OutcomeRecord,
+    population_record,
+    sample_enumerate,
+    sample_sequential,
+)
 from mpoqst.states import MPDOGenConfig, maximally_mixed, random_mpdo
 from mpoqst.tt import (
     DenseOperator,
     NumericalError,
+    hermitian_basis,
     is_hermitian,
     random_tt,
     tt_add,
     tt_inner,
     tt_norm,
+    tt_right_orthogonalize,
     tt_scale,
     tt_sub,
     tt_to_dense,
     tt_trace,
+    tt_zeros,
 )
 
 # Frozen from the dense reference run (n=3, rank 1, M=1e5, random init,
@@ -107,6 +119,67 @@ def test_empirical_operator_rank_caps():
     emp = empirical_operator(rec, povm)
     caps = (4, 16, 64, 16, 4)
     assert all(r <= c for r, c in zip(emp.ranks[1:-1], caps))
+
+
+def _pauli6():
+    """The six Pauli eigenprojectors / 3: a qubit POVM with k_loc > d^2."""
+    vecs = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]])
+    vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    return LocalPOVM(tuple(np.outer(v, v.conj()) / 3 for v in vecs), d=2)
+
+
+def _povm_and_record(kind, n):
+    local = {"sic": sic_qubit,
+             "qutrit": lambda: LocalPOVM(wh_sic_from_fiducial(3).elements,
+                                         d=3),
+             "pauli6": _pauli6}[kind]()
+    povm = ProductPOVM(sites=(local,) * n)
+    rho = random_mpdo(MPDOGenConfig(n=n, kappa=2, purity=10, seed=90 + n,
+                                    d=local.d))
+    return povm, sample_sequential(povm, rho, 3000, seed=91 + n)
+
+
+def _complex_empirical_operator(record, povm):
+    """E as it was built before the real-coordinate path: complex
+    prefix-tree cores, then tt_right_orthogonalize."""
+    weights = record.weights()
+    outcomes = sorted(weights)
+    return tt_right_orthogonalize(
+        outcome_sum_tt(outcomes, [weights[o] for o in outcomes], povm))
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("sic", 1), ("sic", 2), ("sic", 5), ("sic", 8), ("qutrit", 4),
+    ("pauli6", 6),  # prefix bonds over the caps: the left sweep cuts them
+])
+def test_empirical_operator_matches_complex_construction(kind, n):
+    povm, rec = _povm_and_record(kind, n)
+    want = _complex_empirical_operator(rec, povm)
+    got = empirical_operator(rec, povm)
+    assert tt_norm(tt_sub(got, want)) <= 1e-12 * tt_norm(want)
+    assert all(r <= w for r, w in zip(got.ranks, want.ranks))
+    for core in got.cores[1:]:  # right-orthonormal rows
+        q = core.reshape(core.shape[0], -1)
+        assert np.abs(q @ q.conj().T - np.eye(q.shape[0])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind, n", [("sic", 5), ("qutrit", 3)])
+def test_empirical_operator_real_in_hermitian_coordinates(kind, n):
+    povm, rec = _povm_and_record(kind, n)
+    u = hermitian_basis(povm.d)
+    for core in empirical_operator(rec, povm).cores:
+        coords = np.einsum("rsq,as->raq", core, u.conj())
+        assert np.abs(coords.imag).max() <= 1e-14 * np.abs(coords).max()
+
+
+def test_empirical_operator_rejects_non_hermitian_element():
+    els = list(sic_qubit().elements)
+    els[2] = els[2] + np.array([[1e-9j, 0], [0, 0]])
+    povm = ProductPOVM(sites=(LocalPOVM(tuple(els), d=2),) * 2)
+    rec = OutcomeRecord(counts={(1, 2): 3, (3, 4): 1}, m_shots=4,
+                        povm_id="", seed=0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        empirical_operator(rec, povm)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +553,25 @@ def test_pgd_iterates_match_whole_sum_rounding(case):
                 <= 1e-10 * tt_norm(want[k])), f"iterate {k}"
 
 
+def test_pgd_iterates_match_complex_data_operator():
+    # the loop pgd ran with E built from complex cores
+    rec, povm, config = _spectral_n8_case()
+    n, d = povm.n, povm.d
+    ranks = config.rank_vector(n, d)
+    emp = _complex_empirical_operator(rec, povm)
+    scale = povm.k_total * (d ** n + 1) / d ** n
+    want = [_project_with_data(tt_zeros(n, d), emp, scale, ranks)]
+    for tau in range(config.max_iters):
+        mu = config.mu0 * config.lam ** tau * 2.0 ** n
+        acc = tt_add(want[-1], tt_scale(sum_channel(povm, want[-1]), -mu))
+        want.append(_project_with_data(acc, emp, mu, ranks))
+    for k in range(len(want)):
+        config.max_iters = k
+        got = pgd(rec, povm, config).state
+        assert (tt_norm(tt_sub(got, want[k]))
+                <= 1e-10 * tt_norm(want[k])), f"iterate {k}"
+
+
 def test_pgd_iterate_invariants_every_step():
     povm = ProductPOVM.local_sic(2)
     rho = _mpdo(2, seed=43)
@@ -564,6 +656,17 @@ def test_psgd_final_error_pinned_n5():
                              max_epochs=3, **STEP_PRESETS["psgd-random"])
     out = psgd(rec, povm, config, truth=rho)
     assert abs(out.trace_log[-1].error - PSGD_N5_REFERENCE_ERROR) <= 1e-10
+
+
+def test_psgd_loss_matches_data_operator_loss():
+    # psgd takes the cross term <E, rho> from the record's amplitudes
+    povm = ProductPOVM.local_sic(5)
+    rec = sample_sequential(povm, _mpdo(5, seed=64), 2000, seed=65)
+    config = EstimatorConfig(ranks=2, init="random", init_seed=66,
+                             max_epochs=2, **STEP_PRESETS["psgd-random"])
+    out = psgd(rec, povm, config)
+    want = loss(out.state, rec, povm)
+    assert abs(out.trace_log[-1].loss - want) <= 1e-12 * want
 
 
 def _filler_by_enumeration(povm, nonzero, count, rng):

@@ -34,7 +34,7 @@ from mpoqst.povm import (
     wh_sic_from_fiducial,
 )
 from mpoqst.states import MPDOGenConfig, maximally_mixed, pure_product, random_mpdo
-from mpoqst.tt import DenseOperator, random_tt, tt_to_dense
+from mpoqst.tt import DenseOperator, hermitian_basis, random_tt, tt_to_dense
 
 
 def random_hermitian(dim, rng):
@@ -587,6 +587,37 @@ def test_product_povm_shared_local_serialization():
     povm = ProductPOVM.local_sic(4)
     data = povm_to_json_dict(povm)
     assert data["repeat"] == 4  # one shared local POVM, not four copies
+
+
+def test_local_povm_equality_by_value():
+    a, b = sic_qubit(), sic_qubit()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != LocalPOVM(tuple(0.5 * e for e in a.elements), d=2)
+    assert a != "local-sic"
+    # equal distinct sites serialize to the shared form, with one id
+    povm = ProductPOVM(sites=(a, b))
+    assert povm == ProductPOVM.local_sic(2)
+    assert povm_to_json_dict(povm)["repeat"] == 2
+    assert povm_id(povm) == povm_id(ProductPOVM.local_sic(2))
+
+
+@pytest.mark.parametrize("local", [sic_qubit(),
+                                   LocalPOVM(wh_sic_from_fiducial(3).elements,
+                                             d=3)])
+def test_hermitian_coordinates_reconstruct_fused(local):
+    coords = local.hermitian_coordinates()
+    assert coords.dtype == float and not coords.flags.writeable
+    assert coords is local.hermitian_coordinates()  # built once
+    assert np.abs(coords @ hermitian_basis(local.d) - local.fused()).max() \
+        <= 1e-15
+
+
+def test_hermitian_coordinates_reject_non_hermitian_element():
+    els = list(sic_qubit().elements)
+    els[1] = els[1] + np.array([[0, 1e-9], [0, 0]])
+    local = LocalPOVM(tuple(els), d=2)  # constructing still succeeds
+    with pytest.raises(ValueError, match="not Hermitian"):
+        local.hermitian_coordinates()
 
 
 def test_outcome_enumeration_is_lexicographic():

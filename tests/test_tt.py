@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from mpoqst.tt import (
     TTTensor,
+    _orthogonalize_left,
+    _orthogonalize_right,
     fuse_dense_to_tensor,
+    fuse_local_operator,
+    hermitian_basis,
     is_hermitian,
     load_tt,
     max_tt_ranks,
@@ -18,6 +22,7 @@ from mpoqst.tt import (
     tt_adjoint,
     tt_element,
     tt_from_dense,
+    tt_from_hermitian_coordinates,
     tt_from_json_dict,
     tt_inner,
     tt_norm,
@@ -283,6 +288,49 @@ def test_round_sum_validates_like_round():
     b = tt_scale(b, 1.0 / tt_norm(b))
     z = tt_round_sum(tt_scale(b, -1.0), b, truncation_tol=1e-10)
     assert z.ranks == (1, 1, 1, 1) and tt_norm(z) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# real coordinates of Hermitian operators
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hermitian_basis_is_real_orthonormal(d):
+    u = hermitian_basis(d)
+    assert np.abs(u @ u.conj().T - np.eye(d * d)).max() <= 1e-15
+    for row in u:  # each row is the fused form of a Hermitian matrix
+        m = row.reshape(d, d, order="F")
+        assert np.array_equal(m, m.conj().T)
+    h = fuse_local_operator(random_hermitian(d, np.random.default_rng(d)))
+    coords = h @ u.conj().T
+    assert np.abs(coords.imag).max() <= 1e-15
+    assert np.abs(coords.real @ u - h).max() <= 1e-14
+
+
+def test_tt_from_hermitian_coordinates_maps_the_physical_leg():
+    rng = np.random.default_rng(24)
+    cores = [rng.standard_normal(s) for s in [(1, 9, 3), (3, 9, 2), (2, 9, 1)]]
+    got = tt_from_hermitian_coordinates(cores, d=3)
+    u = hermitian_basis(3)
+    want = TTTensor(tuple(np.einsum("ras,at->rts", c, u) for c in cores),
+                    d=3)
+    assert _rel_dist(got, want) <= 1e-15
+    assert is_hermitian(got, 1e-14)
+
+
+def test_orthogonalize_left_then_right_cuts_bonds_to_the_caps():
+    # bonds 6 and 7 exceed the n=3, d=2 caps (4, 4)
+    rng = np.random.default_rng(25)
+    cores = [rng.standard_normal(s) for s in [(1, 4, 6), (6, 4, 7), (7, 4, 1)]]
+    a = TTTensor(tuple(cores), d=2)
+    _orthogonalize_left(cores, 4)
+    for core in cores[:-1]:
+        q = core.reshape(-1, core.shape[2])
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
+    _orthogonalize_right(cores, 4)
+    b = TTTensor(tuple(cores), d=2)
+    assert b.ranks == (1, 4, 4, 1)
+    assert _rel_dist(b, a) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
