@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -44,6 +45,7 @@ from .sampling import (
     record_to_json_dict,
     sample_enumerate,
     sample_sequential,
+    write_record_json,
 )
 from .states import MPDOGenConfig, purity, random_mpdo
 from .experiment import ExperimentSpec, run_experiment
@@ -119,29 +121,37 @@ def cmd_generate(args) -> int:
 def cmd_measure(args) -> int:
     state = _load_state(args.state)
     povm = _load_povm(args.povm, n=state.n)
+    t0 = time.perf_counter()
     if args.exact:
         record = population_record(povm, state)
     elif args.sampler == "enumerate":
         record = sample_enumerate(povm, state, args.shots, seed=args.seed)
     else:
         record = sample_sequential(povm, state, args.shots, seed=args.seed)
+    t1 = time.perf_counter()
     payload = record_to_json_dict(record)
     payload["format"] = "mpoqst-record"
     payload["provenance"] = _provenance(
         {"state": args.state, "povm": args.povm, "shots": args.shots,
          "exact": args.exact}, seed=args.seed)
-    _write_json(args.out, payload)
+    with open(args.out, "w") as fh:
+        write_record_json(fh, payload, record)
+    print(args.out)
+    diagnostics = getattr(record, "diagnostics", {})
+    print(f"measure: {len(record.values)} distinct outcomes, "
+          f"clamped {diagnostics.get('clamped', 0)}, "
+          f"aborted {diagnostics.get('aborted', 0)}; "
+          f"sampling {t1 - t0:.3f} s, writing "
+          f"{time.perf_counter() - t1:.3f} s", file=sys.stderr)
     return 0
 
 
 def cmd_estimate(args) -> int:
     with open(args.record) as fh:
         record = record_from_json_dict(json.load(fh))
-    outcomes = record.nonzero_outcomes()
-    if not outcomes:
+    if not len(record.values):
         raise ValueError(f"record {args.record} holds no outcomes")
-    n_sites = len(outcomes[0])
-    povm = _load_povm(args.povm, n=n_sites)
+    povm = _load_povm(args.povm, n=record.outcomes.shape[1])
     if record.povm_id and record.povm_id != povm_id(povm):
         raise ValueError("record was measured with a different POVM")
     for site in povm.sites:  # ValueError on a non-Hermitian element

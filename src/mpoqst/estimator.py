@@ -175,47 +175,62 @@ def _trie_cores(outcomes, weights, povm: ProductPOVM, local: list) -> list:
     the distinct suffixes right of it, so the representation is exact with
     bond dimensions min(#prefixes, #suffixes) and never grows with the
     number of terms beyond the enumeration caps.
+
+    The bases come from group ids over the lexicographically sorted
+    (U, n) outcome matrix: a prefix id is the number of prefix changes
+    down the sorted rows, and the suffix ids are ranked from the right,
+    each column sorted together with the ids of the suffix after it.  The
+    cores are filled by scatter, the bridge core by accumulation in sorted
+    outcome order.
     """
     n = povm.n
     dd = povm.d * povm.d
-    pairs = sorted(zip((tuple(o) for o in outcomes), weights))
-    if not pairs:
+    rows = _outcome_indices(povm, outcomes)
+    if not len(rows):
         raise ValueError("need at least one outcome")
-    _outcome_indices(povm, [o for o, _ in pairs])
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    weights = np.asarray(weights)[order]
+    u = len(rows)
     bridge = (n + 1) // 2  # 1-based site carrying the weights
     dtype = local[0].dtype
 
-    def prefix_basis(l):
-        return sorted({o[:l] for o, _ in pairs})
-
-    def suffix_basis(l):
-        return sorted({o[l:] for o, _ in pairs})
+    # prefix[l]: id of each row's length-l prefix (l < bridge), and
+    # first[l]: the first row of each distinct prefix, in id order
+    prefix, first = [np.zeros(u, dtype=np.intp)], [np.zeros(1, np.intp)]
+    changed = np.zeros(u, dtype=bool)
+    for l in range(1, bridge):
+        changed[1:] |= rows[1:, l - 1] != rows[:-1, l - 1]
+        prefix.append(np.cumsum(changed))
+        first.append(np.flatnonzero(np.diff(prefix[-1], prepend=-1)))
+    # suffix[c]: id of each row's suffix from column c (c >= bridge), and
+    # rep[c]: one row of each distinct suffix, in id order
+    suffix = {n: np.zeros(u, dtype=np.intp)}
+    rep = {n: np.zeros(1, dtype=np.intp)}
+    for c in range(n - 1, bridge - 1, -1):
+        by = np.lexsort((suffix[c + 1], rows[:, c]))
+        new = np.ones(u, dtype=bool)
+        new[1:] = ((rows[by[1:], c] != rows[by[:-1], c])
+                   | (suffix[c + 1][by[1:]] != suffix[c + 1][by[:-1]]))
+        suffix[c] = np.empty(u, dtype=np.intp)
+        suffix[c][by] = np.cumsum(new) - 1
+        rep[c] = by[new]
 
     cores = []
     for l in range(1, n + 1):
+        vec, col = local[l - 1], rows[:, l - 1]
         if l < bridge:
-            left = prefix_basis(l - 1)
-            right = prefix_basis(l)
-            idx_l = {q: i for i, q in enumerate(left)}
-            core = np.zeros((len(left), dd, len(right)), dtype=dtype)
-            for ridx, q in enumerate(right):
-                core[idx_l[q[:-1]], :, ridx] = local[l - 1][q[-1] - 1]
+            take = first[l]
+            core = np.zeros((len(first[l - 1]), dd, len(take)), dtype=dtype)
+            core[prefix[l - 1][take], :, np.arange(len(take))] = vec[col[take]]
         elif l == bridge:
-            left = prefix_basis(l - 1)
-            right = suffix_basis(l)
-            idx_l = {q: i for i, q in enumerate(left)}
-            idx_r = {c: i for i, c in enumerate(right)}
-            core = np.zeros((len(left), dd, len(right)), dtype=dtype)
-            for o, w in pairs:
-                core[idx_l[o[:l - 1]], :, idx_r[o[l:]]] += (
-                    w * local[l - 1][o[l - 1] - 1])
+            core = np.zeros((len(first[l - 1]), dd, len(rep[l])), dtype=dtype)
+            np.add.at(core, (prefix[l - 1], slice(None), suffix[l]),
+                      weights[:, None] * vec[col])
         else:
-            left = suffix_basis(l - 1)
-            right = suffix_basis(l)
-            idx_r = {c: i for i, c in enumerate(right)}
-            core = np.zeros((len(left), dd, len(right)), dtype=dtype)
-            for lidx, c in enumerate(left):
-                core[lidx, :, idx_r[c[1:]]] = local[l - 1][c[0] - 1]
+            take = rep[l - 1]
+            core = np.zeros((len(take), dd, len(rep[l])), dtype=dtype)
+            core[np.arange(len(take)), :, suffix[l][take]] = vec[col[take]]
         cores.append(core)
     return cores
 
@@ -250,11 +265,8 @@ def empirical_operator(record, povm: ProductPOVM) -> TTTensor:
     basis.  A bond over its structural cap (k_loc > d^2) is first cut
     down by a left-to-right QR sweep.  ValueError when a POVM element is
     not Hermitian."""
-    weights = record.weights()
-    outcomes = sorted(weights)
     coords = [site.hermitian_coordinates() for site in povm.sites]
-    cores = _trie_cores(outcomes, [weights[o] for o in outcomes], povm,
-                        coords)
+    cores = _trie_cores(record.outcomes, record.p_hat, povm, coords)
     dd = povm.d * povm.d
     if _over_caps(cores, povm):
         _orthogonalize_left(cores, dd)
@@ -281,18 +293,21 @@ def loss(state: TTTensor, record, povm: ProductPOVM,
     if empirical is None:
         empirical = empirical_operator(record, povm)
     channel = sum_channel(povm, state)
-    weight_sq = float(sum(w * w for w in record.weights().values()))
-    return _loss_from_parts(state, channel, tt_inner(empirical, state).real,
-                            weight_sq)
+    return _loss_from_parts(state, channel, tt_inner(state, empirical).real,
+                            _weight_sq(record))
+
+
+def _weight_sq(record) -> float:
+    """sum_k p_hat_k^2 over the record."""
+    return float(record.p_hat @ record.p_hat)
 
 
 def _dense_weights(record, povm: ProductPOVM) -> np.ndarray:
     """The record's p_hat as a flat K-vector in lexicographic outcome
     order (zero for unobserved outcomes)."""
-    weights = record.weights()
     p_hat = np.zeros(povm.k_total)
-    idx = _outcome_indices(povm, list(weights))
-    p_hat[np.ravel_multi_index(idx.T, povm.k_locs)] = list(weights.values())
+    idx = _outcome_indices(povm, record.outcomes)
+    p_hat[np.ravel_multi_index(idx.T, povm.k_locs)] = record.p_hat
     return p_hat
 
 
@@ -331,7 +346,7 @@ def wirtinger_gradient(state: TTTensor, record, povm: ProductPOVM,
     if empirical is None:
         empirical = empirical_operator(record, povm)
     channel = sum_channel(povm, state)
-    terms = tuple(sorted(record.weights().items()))
+    terms = tuple(record.weights().items())
     return GradientHandle(channel=channel, empirical=empirical, terms=terms)
 
 
@@ -514,10 +529,10 @@ def pgd(record, povm: ProductPOVM, config: EstimatorConfig,
     t0 = time.perf_counter()
     emp = empirical_operator(record, povm)
     state = _initial_state(record, povm, config, ranks, emp)
-    weight_sq = float(sum(w * w for w in record.weights().values()))
+    weight_sq = _weight_sq(record)
     log = []
     channel = sum_channel(povm, state)
-    cur_loss = _loss_from_parts(state, channel, tt_inner(emp, state).real,
+    cur_loss = _loss_from_parts(state, channel, tt_inner(state, emp).real,
                                 weight_sq)
     _log_row(log, 0, cur_loss, state, truth, float("nan"), t0)
     losses = [cur_loss]
@@ -535,7 +550,7 @@ def pgd(record, povm: ProductPOVM, config: EstimatorConfig,
                 f"(step {mu:.3g} too large): {exc}") from exc
         channel = sum_channel(povm, state)
         cur_loss = _loss_from_parts(state, channel,
-                                    tt_inner(emp, state).real, weight_sq)
+                                    tt_inner(state, emp).real, weight_sq)
         iterations = tau + 1
         if not np.isfinite(cur_loss):
             raise NumericalError(
@@ -602,34 +617,37 @@ def _pgd_dense(record, povm, config, truth):
 
 
 def _zero_outcome_filler(povm: ProductPOVM, nonzero, count: int,
-                         rng: np.random.Generator) -> list:
-    """Seeded choice of zero-count outcomes to pad a stochastic epoch.
+                         rng: np.random.Generator) -> np.ndarray:
+    """Seeded choice of zero-count outcomes to pad a stochastic epoch, as
+    a (count, n) matrix of 1-based indices (fewer rows when fewer
+    outcomes are free).  ``nonzero`` holds the observed outcomes as rows.
 
     Up to 2^20 outcomes, the pool is every outcome outside ``nonzero`` in
     lexicographic order, and ``count`` of them are drawn without
     replacement; beyond that, outcomes are drawn by rejection."""
-    if count <= 0:
-        return []
     k_locs = povm.k_locs
-    k_total = povm.k_total
-    if k_total <= 2 ** 20:
-        free = np.ones(k_total, dtype=bool)
-        observed = _outcome_indices(povm, list(nonzero))
+    if count <= 0:
+        return np.zeros((0, povm.n), dtype=np.intp)
+    if povm.k_total <= 2 ** 20:
+        free = np.ones(povm.k_total, dtype=bool)
+        observed = _outcome_indices(povm, nonzero)
         free[np.ravel_multi_index(observed.T, k_locs)] = False
         pool = np.flatnonzero(free)
         take = min(count, len(pool))
         chosen = rng.choice(len(pool), size=take, replace=False)
         picked = np.unravel_index(pool[np.sort(chosen)], k_locs)
-        return [tuple(row) for row in (np.stack(picked, axis=1) + 1).tolist()]
+        return np.stack(picked, axis=1) + 1
+    # each draw is its own rng call, so that the draws stay those of the
+    # seed whatever the count
     chosen = []
-    seen = set(nonzero)
+    seen = set(map(tuple, np.asarray(nonzero).tolist()))
     while len(chosen) < count:
         draw = rng.integers(1, np.array(k_locs) + 1)
         outcome = tuple(int(i) for i in draw)
         if outcome not in seen:
             seen.add(outcome)
             chosen.append(outcome)
-    return chosen
+    return np.array(chosen, dtype=np.intp)
 
 
 def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
@@ -649,9 +667,8 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
     """
     n, d = povm.n, povm.d
     ranks = config.rank_vector(n, d)
-    weights = record.weights()
-    nonzero = sorted(weights)
-    n_obs = len(nonzero)
+    observed, p_obs = record.outcomes, record.p_hat
+    n_obs = len(p_obs)
     k_total = povm.k_total
     max_rank = max(ranks) if ranks else 1
     if config.epoch_size is not None:
@@ -664,12 +681,11 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
     batch = min(config.batch_size, n_epoch)
     t0 = time.perf_counter()
     state = _initial_state(record, povm, config, ranks)
-    p_obs = np.array([weights[o] for o in nonzero])
-    weight_sq = float(sum(w * w for w in weights.values()))
+    weight_sq = _weight_sq(record)
 
     def epoch_loss(rho):
         # cross term <E, rho> = sum_k p_hat_k <A_k, rho> over the record
-        cross = float(p_obs @ outcome_amplitudes(povm, rho, nonzero).real)
+        cross = float(p_obs @ outcome_amplitudes(povm, rho, observed).real)
         return _loss_from_parts(rho, sum_channel(povm, rho), cross,
                                 weight_sq)
 
@@ -682,17 +698,19 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
     for epoch in range(config.max_epochs):
         rng = np.random.Generator(np.random.Philox(
             key=((int(config.init_seed) << 64) + 0xE0C + epoch)))
-        filler = _zero_outcome_filler(povm, nonzero, n_epoch - n_obs, rng)
-        subset = nonzero + filler
+        filler = _zero_outcome_filler(povm, observed, n_epoch - n_obs, rng)
+        subset = np.concatenate([observed, filler])
+        subset_p = np.concatenate([p_obs, np.zeros(len(filler))])
         order = rng.permutation(len(subset))
         iters = max(len(subset) // batch, 1)
         mu = _step_size(config, n, epoch)
         for it in range(iters):
-            chosen = [subset[i] for i in order[it * batch:(it + 1) * batch]]
-            if not chosen:
+            pick = order[it * batch:(it + 1) * batch]
+            if not len(pick):
                 break
+            chosen = subset[pick]
             coeffs = (outcome_amplitudes(povm, state, chosen).real
-                      - [weights.get(o, 0.0) for o in chosen])
+                      - subset_p[pick])
             grad_tt = outcome_sum_tt(chosen, coeffs, povm)
             acc = tt_add(state, tt_scale(grad_tt, -mu))
             state = project_mpo(acc, ranks, round_tol=config.tt_round_tol)

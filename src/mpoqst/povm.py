@@ -22,6 +22,9 @@ from .tt import (
     DenseOperator,
     NumericalError,
     TTTensor,
+    _complex_from_json,
+    _json_int,
+    _json_list,
     fuse_local_operator,
     fuse_dense_to_tensor,
     hermitian_basis,
@@ -527,11 +530,17 @@ def probability_tensor(povm: ProductPOVM, state: TTTensor) -> np.ndarray:
 
 def _outcome_indices(povm: ProductPOVM, outcomes) -> np.ndarray:
     """(B, n) array of 0-based site indices for a batch of 1-based
-    outcomes; ValueError on a wrong length or an index outside 1..k_loc."""
-    lengths = {len(o) for o in outcomes} - {povm.n}
-    if lengths:
-        raise ValueError(f"outcome length {min(lengths)} != n={povm.n}")
-    rows = np.asarray(outcomes).reshape(-1, povm.n)
+    outcomes (a (B, n) matrix or a list of B tuples); ValueError on a
+    wrong length or an index outside 1..k_loc."""
+    try:
+        rows = np.asarray(outcomes)
+    except ValueError:  # numpy's message for ragged outcomes
+        raise ValueError("outcomes must have equal lengths") from None
+    if rows.shape[:1] == (0,):
+        rows = rows.reshape(0, povm.n)
+    if rows.ndim != 2 or rows.shape[1] != povm.n:
+        length = rows.shape[-1] if rows.ndim else 0
+        raise ValueError(f"outcome length {length} != n={povm.n}")
     bad = (rows < 1) | (rows > np.array(povm.k_locs))
     if bad.any():
         b, l = np.argwhere(bad)[0]
@@ -674,35 +683,14 @@ def _matrix_to_json(m: np.ndarray):
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer; ValueError on anything else, booleans included."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _json_list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON list")
-    return value
-
-
 def _matrix_from_json(raw, shape: tuple) -> np.ndarray:
     """Complex array of the given shape from nested [re, im] pairs of
     finite JSON numbers; ValueError on any other shape or entry."""
-    arr = np.asarray(raw, dtype=object)
-    if arr.shape != shape + (2,) or any(type(x) not in (int, float)
-                                        for x in arr.flat):
+    matrix = _complex_from_json(raw, "POVM element")
+    if matrix.shape != shape:
         raise ValueError(
             f"expected a {shape} array of [re, im] number pairs")
-    try:
-        values = arr.astype(float)
-        finite = np.isfinite(values).all()
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise ValueError("POVM entries must be finite numbers")
-    return values[..., 0] + 1j * values[..., 1]
+    return matrix
 
 
 def local_povm_to_json_dict(povm: LocalPOVM) -> dict:

@@ -640,14 +640,51 @@ def tt_to_json_dict(tt: TTTensor) -> dict:
     return {"n": tt.n, "d": tt.d, "ranks": list(tt.ranks), "cores": cores}
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; ValueError on anything else, booleans included."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list")
+    return value
+
+
+def _complex_from_json(raw, what: str) -> np.ndarray:
+    """Complex array from a regular nested list whose innermost level
+    holds [re, im] pairs of finite JSON numbers; ValueError on a ragged
+    list, a pair of another length or any other entry."""
+    arr = np.asarray(raw, dtype=object)
+    if (arr.ndim == 0 or arr.shape[-1] != 2
+            or any(type(x) not in (int, float) for x in arr.flat)):
+        raise ValueError(f"{what} must be a regular array of [re, im] "
+                         "number pairs")
+    try:
+        values = arr.astype(float)
+        finite = np.isfinite(values).all()
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{what} entries must be finite numbers")
+    return values[..., 0] + 1j * values[..., 1]
+
+
 def tt_from_json_dict(data: dict) -> TTTensor:
-    d = int(data["d"])
-    cores = []
-    for raw in data["cores"]:
-        arr = np.asarray(raw, dtype=float)
-        cores.append(arr[..., 0] + 1j * arr[..., 1])
+    """TT operator from its JSON form; ValueError unless it is a JSON
+    object with an integer d >= 2, a list of regular (r, d*d, r', 2) core
+    arrays of finite [re, im] pairs, and ranks that match them."""
+    if not isinstance(data, dict):
+        raise ValueError("a TT operator must be a JSON object")
+    d = _json_int(data["d"], "d")
+    if d < 2:
+        raise ValueError(f"local dimension must be >= 2, got {d}")
+    cores = [_complex_from_json(raw, f"core {l}")
+             for l, raw in enumerate(_json_list(data["cores"], "cores"))]
     tt = TTTensor(tuple(cores), d=d)
-    if list(tt.ranks) != list(data["ranks"]):
+    if list(tt.ranks) != data["ranks"]:
         raise ValueError("stored ranks do not match core shapes")
     return tt
 

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from mpoqst import experiment
 from mpoqst.cli import main
 from mpoqst.povm import MAX_REPEAT, local_povm_to_json_dict, sic_qubit
-from mpoqst.tt import tt_from_json_dict
+from mpoqst.states import MPDOGenConfig, random_mpdo
+from mpoqst.tt import tt_from_json_dict, tt_to_json_dict
 
 
 def run(args):
@@ -394,6 +396,131 @@ def test_estimate_non_hermitian_povm_exits_1(i, r, c, eps, mode):
     assert code == 1
     assert err.getvalue().startswith("input error:")
     assert "Hermitian" in err.getvalue()
+
+
+_MEASURE_LINE = re.compile(
+    r"measure: (\d+) distinct outcomes, clamped \d+, aborted \d+; "
+    r"sampling \d+\.\d{3} s, writing \d+\.\d{3} s")
+
+
+@pytest.mark.parametrize("mode", _MEASURE_MODES)
+def test_measure_reports_on_stderr_and_writes_json_dump_bytes(
+        workspace, capsys, mode):
+    state = _generate(workspace, n=3)
+    capsys.readouterr()
+    out = workspace / "rec.json"
+    assert run(["measure", "--state", state, "--shots", 700, "--seed", 4,
+                "--out", out, *mode]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"{out}\n"
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    match = _MEASURE_LINE.fullmatch(lines[0])
+    assert match
+    text = out.read_text()
+    data = json.loads(text)
+    assert int(match.group(1)) == len(data["counts"])
+    assert text == json.dumps(data, indent=2, sort_keys=True)
+
+
+def _state_payload() -> dict:
+    state = random_mpdo(MPDOGenConfig(n=2, kappa=2, purity=10, seed=1))
+    return {"format": "mpoqst-state", "state": tt_to_json_dict(state)}
+
+
+@st.composite
+def _state_files(draw):
+    """A 2-site state file, in the {"state": ...} or the bare form, valid
+    but for one fault."""
+    payload = _state_payload()
+    state = payload["state"]
+    l = draw(st.integers(0, 1))
+    core = state["cores"][l]  # (r, 4, r', 2) nested lists
+    a = draw(st.integers(0, len(core) - 1))
+    b = draw(st.integers(0, 3))
+    c = draw(st.integers(0, len(core[a][b]) - 1))
+    p = draw(st.integers(0, 1))
+    kind = draw(st.sampled_from([
+        "top", "missing", "d", "cores", "core", "ragged", "entry", "ranks",
+        "shape"]))
+    if kind == "top":
+        return draw(_JUNK)
+    if kind == "missing":
+        del state[draw(st.sampled_from(["d", "cores", "ranks"]))]
+    elif kind == "d":
+        state["d"] = draw(st.one_of(
+            _NOT_INT, st.sampled_from([2.5, "2", 2.0]),
+            st.integers().filter(lambda v: v != 2)))
+    elif kind == "cores":
+        state["cores"] = draw(_JUNK)
+    elif kind == "core":
+        state["cores"][l] = draw(_JUNK)
+    elif kind == "ragged":
+        target = draw(st.sampled_from(["bond", "physical", "pair", "extra"]))
+        if target == "bond":
+            core[a][b] = core[a][b][:-1]
+        elif target == "physical":
+            core[a] = core[a][:-1]
+        elif target == "pair":
+            core[a][b][c] = core[a][b][c][:1]
+        else:
+            core[a][b].append([0.0, 0.0])
+    elif kind == "entry":
+        core[a][b][c][p] = draw(_NOT_NUMBER)
+    elif kind == "ranks":
+        ranks = list(state["ranks"])
+        ranks[draw(st.integers(0, len(ranks) - 1))] += draw(
+            st.sampled_from([-1, 1, 5]))
+        state["ranks"] = draw(st.sampled_from([ranks, None, "1,4,1"]))
+    else:  # a level too many or too few
+        state["cores"][l] = draw(st.sampled_from([[core], core[0]]))
+    return payload if draw(st.booleans()) else state
+
+
+def _measure_state_exit_code(payload, mode) -> int:
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w") as fh:
+            fh.write(json.dumps(payload))
+        return main(["measure", "--state", path, "--shots", "20",
+                     "--out", os.path.join(tmp, "rec.json"), *mode])
+
+
+@pytest.mark.parametrize("mode", _MEASURE_MODES)
+def test_measure_accepts_unfaulted_fuzz_state(mode):
+    payload = _state_payload()
+    assert _measure_state_exit_code(payload, mode) == 0
+    assert _measure_state_exit_code(payload["state"], mode) == 0
+
+
+@pytest.mark.parametrize("fault", [
+    "nan", "infinity", "d-float", "d-string", "ragged", "pairs-cut"])
+def test_measure_rejects_state_faults(fault):
+    # the first four exited 0 and "pairs-cut" with an IndexError
+    # traceback before the state loader checked its input
+    payload = _state_payload()
+    state = payload["state"]
+    core = state["cores"][1]
+    if fault in ("nan", "infinity"):
+        state["cores"][0][0][1][0][0] = float(fault)
+    elif fault == "d-float":
+        state["d"] = 2.5
+    elif fault == "d-string":
+        state["d"] = "2"
+    elif fault == "ragged":
+        core[0][2] = core[0][2][:-1]
+    else:
+        state["cores"][1] = [[[pair[:1] for pair in col] for col in row]
+                             for row in core]
+    assert _measure_state_exit_code(payload, []) == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(payload=_state_files(), mode=st.sampled_from(_MEASURE_MODES))
+def test_measure_malformed_state_exits_1(payload, mode):
+    assert _measure_state_exit_code(payload, mode) == 1
 
 
 def test_missing_file_is_input_error(workspace):

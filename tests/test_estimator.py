@@ -7,6 +7,7 @@ from mpoqst.estimator import (
     STEP_PRESETS,
     EstimatorConfig,
     _project_with_data,
+    _trie_cores,
     _zero_outcome_filler,
     admissible_init_radius,
     admissible_step_interval,
@@ -92,6 +93,77 @@ def test_outcome_sum_matches_kron_sum():
     flat = {o: i for i, o in enumerate(iter_outcomes(povm))}
     want = sum(w * dense_els[flat[o]] for o, w in zip(outcomes, weights))
     assert np.abs(got - want).max() < 1e-12
+
+
+def _trie_cores_by_tuple_sets(outcomes, weights, povm, local):
+    """_trie_cores as it was built from Python sets of outcome-tuple
+    slices, one outcome at a time."""
+    n, dd = povm.n, povm.d * povm.d
+    pairs = sorted(zip((tuple(o) for o in outcomes), weights))
+    bridge = (n + 1) // 2
+    dtype = local[0].dtype
+
+    def prefix_basis(l):
+        return sorted({o[:l] for o, _ in pairs})
+
+    def suffix_basis(l):
+        return sorted({o[l:] for o, _ in pairs})
+
+    cores = []
+    for l in range(1, n + 1):
+        if l < bridge:
+            left, right = prefix_basis(l - 1), prefix_basis(l)
+            idx_l = {q: i for i, q in enumerate(left)}
+            core = np.zeros((len(left), dd, len(right)), dtype=dtype)
+            for ridx, q in enumerate(right):
+                core[idx_l[q[:-1]], :, ridx] = local[l - 1][q[-1] - 1]
+        elif l == bridge:
+            left, right = prefix_basis(l - 1), suffix_basis(l)
+            idx_l = {q: i for i, q in enumerate(left)}
+            idx_r = {c: i for i, c in enumerate(right)}
+            core = np.zeros((len(left), dd, len(right)), dtype=dtype)
+            for o, w in pairs:
+                core[idx_l[o[:l - 1]], :, idx_r[o[l:]]] += (
+                    w * local[l - 1][o[l - 1] - 1])
+        else:
+            left, right = suffix_basis(l - 1), suffix_basis(l)
+            idx_r = {c: i for i, c in enumerate(right)}
+            core = np.zeros((len(left), dd, len(right)), dtype=dtype)
+            for lidx, c in enumerate(left):
+                core[lidx, :, idx_r[c[1:]]] = local[l - 1][c[0] - 1]
+        cores.append(core)
+    return cores
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_trie_cores_match_tuple_set_builder(n):
+    povm = ProductPOVM.local_sic(n)
+    rec = sample_sequential(povm, _mpdo(n, seed=80 + n), 3000, seed=81)
+    for local in ([site.hermitian_coordinates() for site in povm.sites],
+                  [site.fused() for site in povm.sites]):
+        got = _trie_cores(rec.outcomes, rec.p_hat, povm, local)
+        want = _trie_cores_by_tuple_sets(rec.nonzero_outcomes(),
+                                         list(rec.p_hat), povm, local)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("n, batch", [(5, 32), (8, 32), (8, 7)])
+def test_trie_cores_match_tuple_set_builder_on_batches(n, batch):
+    # PSGD's batches: unsorted outcomes, partly unobserved, real
+    # coefficients on the complex fused vectors
+    povm = ProductPOVM.local_sic(n)
+    rng = np.random.default_rng(n + batch)
+    outcomes = rng.integers(1, 5, size=(4 * batch, n))
+    outcomes = np.unique(outcomes, axis=0)[:batch]
+    outcomes = outcomes[rng.permutation(len(outcomes))]
+    coeffs = rng.standard_normal(len(outcomes))
+    local = [site.fused() for site in povm.sites]
+    got = _trie_cores(outcomes, coeffs, povm, local)
+    want = _trie_cores_by_tuple_sets(outcomes.tolist(), coeffs, povm, local)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_outcome_sum_single_site():
@@ -695,10 +767,10 @@ def test_zero_outcome_filler_matches_enumeration(seed, count):
     nonzero = sorted(rec.counts)
     rng_want, rng_got = _philox(seed), _philox(seed)
     want = _filler_by_enumeration(povm, set(nonzero), count, rng_want)
-    got = _zero_outcome_filler(povm, nonzero, count, rng_got)
-    assert got == want
-    assert len(got) == min(count, povm.k_total - len(nonzero))
-    assert all(type(i) is int for o in got for i in o)
+    got = _zero_outcome_filler(povm, rec.outcomes, count, rng_got)
+    assert got.tolist() == [list(o) for o in want]
+    assert got.shape == (min(count, povm.k_total - len(nonzero)), povm.n)
+    assert got.dtype.kind == "i"
     assert rng_got.random() == rng_want.random()  # same draws consumed
 
 
@@ -706,7 +778,8 @@ def test_zero_outcome_filler_empty_pool():
     povm = ProductPOVM.local_sic(2)
     every = list(iter_outcomes(povm))
     want = _filler_by_enumeration(povm, set(every), 5, _philox(3))
-    assert _zero_outcome_filler(povm, every, 5, _philox(3)) == want == []
+    got = _zero_outcome_filler(povm, every, 5, _philox(3))
+    assert want == [] and got.shape == (0, povm.n)
 
 
 # ---------------------------------------------------------------------------

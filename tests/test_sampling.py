@@ -1,6 +1,8 @@
 """Measurement simulation: determinism, chain rule, distribution accuracy."""
 
+import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,16 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpoqst.povm import (
+    LocalPOVM,
     ProductPOVM,
     dense_from_local,
     marginal_prefix_prob,
     prob_of_outcome,
     probability_tensor,
     sic_qubit,
+    wh_sic_from_fiducial,
 )
 from mpoqst.sampling import (
     OutcomeRecord,
     PopulationRecord,
+    _count_rows,
     empirical_probability,
     nonzero_outcomes,
     population_record,
@@ -25,6 +30,7 @@ from mpoqst.sampling import (
     record_to_json_dict,
     sample_enumerate,
     sample_sequential,
+    write_record_json,
 )
 from mpoqst.states import MPDOGenConfig, maximally_mixed, random_mpdo
 from mpoqst.tt import DenseOperator
@@ -234,3 +240,177 @@ def test_record_json_sorted_lexicographically():
     data = record_to_json_dict(rec)
     keys = [tuple(k) for k, _ in data["counts"]]
     assert keys == sorted(keys)
+
+
+# ---------------------------------------------------------------------------
+# array-backed records
+
+
+def _dict_record_json(record) -> dict:
+    """record_to_json_dict as it was for dict-of-tuple records: pairs
+    sorted by outcome tuple, built from the mapping view."""
+    if isinstance(record, OutcomeRecord):
+        return {"kind": "counts", "M": record.m_shots, "seed": record.seed,
+                "povm_id": record.povm_id,
+                "diagnostics": dict(record.diagnostics),
+                "counts": [[list(k), v]
+                           for k, v in sorted(dict(record.counts).items())]}
+    return {"kind": "probabilities", "M": record.m_shots,
+            "seed": record.seed, "povm_id": record.povm_id,
+            "counts": [[list(k), v]
+                       for k, v in sorted(dict(record.probs).items())]}
+
+
+def _pauli6():
+    vecs = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]])
+    vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    return LocalPOVM(tuple(np.outer(v, v.conj()) / 3 for v in vecs), d=2)
+
+
+def _written_record(kind):
+    if kind.startswith("sic-n"):
+        n = int(kind[5:])
+        povm = ProductPOVM.local_sic(n)
+        return sample_sequential(povm, _mpdo(n, seed=40 + n),
+                                 {1: 40, 5: 3000, 12: 20000}[n], seed=41)
+    if kind == "exact-n4":
+        return population_record(ProductPOVM.local_sic(4), _mpdo(4, seed=42))
+    if kind == "enumerate-n3":
+        return sample_enumerate(ProductPOVM.local_sic(3), _mpdo(3, seed=43),
+                                900, seed=44)
+    local = (_pauli6() if kind.startswith("pauli6")
+             else LocalPOVM(wh_sic_from_fiducial(3).elements, d=3))
+    povm = ProductPOVM(sites=(local,) * 3)
+    state = random_mpdo(MPDOGenConfig(n=3, kappa=2, purity=10, seed=45,
+                                      d=local.d))
+    if kind.endswith("exact"):
+        return population_record(povm, state)
+    return sample_sequential(povm, state, 2000, seed=46)
+
+
+@pytest.mark.parametrize("kind", [
+    "sic-n1", "sic-n5", "sic-n12", "exact-n4", "enumerate-n3", "pauli6",
+    "pauli6-exact", "qutrit", "qutrit-exact"])
+def test_record_file_bytes_match_dict_json(kind):
+    record = _written_record(kind)
+    payload = record_to_json_dict(record)
+    payload["format"] = "mpoqst-record"
+    payload["provenance"] = {"seed": 7, "input_sha256": "ab\"counts\": []"}
+    want = _dict_record_json(record)
+    assert record_to_json_dict(record) == want
+    want.update(format=payload["format"], provenance=payload["provenance"])
+    fh = io.StringIO()
+    write_record_json(fh, payload, record)
+    assert fh.getvalue() == json.dumps(want, indent=2, sort_keys=True)
+
+
+def test_record_file_of_empty_and_non_finite_records():
+    for record in (OutcomeRecord(counts={}, m_shots=0, povm_id="", seed=0),
+                   PopulationRecord(probs={(1,): float("nan"), (2,): 0.5},
+                                    povm_id="")):
+        payload = record_to_json_dict(record)
+        fh = io.StringIO()
+        write_record_json(fh, payload, record)
+        assert fh.getvalue() == json.dumps(_dict_record_json(record),
+                                           indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_count_rows_matches_counter(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    rows = rng.integers(-2 if seed == 3 else 1, 4, size=(500, n))
+    if seed == 1:
+        rows = rows.astype(np.uint8)
+    want = sorted(Counter(map(tuple, rows.tolist())).items())
+    outcomes, counts = _count_rows(rows)
+    assert list(zip(map(tuple, outcomes.tolist()), counts.tolist())) == want
+    outcomes, counts = _count_rows(rows[:0])
+    assert outcomes.shape == (0, n) and counts.shape == (0,)
+
+
+def test_record_arrays_and_read_only_views():
+    povm = ProductPOVM.local_sic(4)
+    rec = sample_sequential(povm, _mpdo(4, seed=47), 3000, seed=48)
+    assert rec.outcomes.dtype == np.uint8 and rec.outcomes.shape[1] == 4
+    assert rec.values.dtype == np.int64
+    keys = list(map(tuple, rec.outcomes.tolist()))
+    assert keys == sorted(set(keys))
+    # the view equals the dict that the file's pairs give, with int types
+    pairs = json.loads(json.dumps(record_to_json_dict(rec)))["counts"]
+    want = {tuple(k): v for k, v in pairs}
+    assert dict(rec.counts) == want and rec.counts == want
+    assert all(type(i) is int for k in rec.counts for i in k)
+    assert all(type(v) is int for v in rec.counts.values())
+    assert list(rec.counts.items()) == sorted(want.items())
+    assert rec.weights() == {k: v / 3000 for k, v in want.items()}
+    with pytest.raises(TypeError):
+        rec.counts[keys[0]] = 1
+    with pytest.raises(ValueError):
+        rec.outcomes[0, 0] = 2
+    with pytest.raises(ValueError):
+        rec.values[0] = 2
+    with pytest.raises(AttributeError):
+        rec.m_shots = 1
+    assert rec.counts.get((9, 9, 9, 9)) is None
+    pop = population_record(povm, _mpdo(4, seed=49))
+    assert pop.outcomes.dtype == np.uint8 and pop.values.dtype == float
+    with pytest.raises(TypeError):
+        pop.probs[(1, 1, 1, 1)] = 0.5
+
+
+def test_record_equality_by_value():
+    povm = ProductPOVM.local_sic(3)
+    rec = sample_sequential(povm, _mpdo(3, seed=50), 800, seed=51)
+    back = record_from_json_dict(json.loads(json.dumps(
+        record_to_json_dict(rec))))
+    assert back == rec and not back != rec
+    counts = dict(rec.counts)
+    same = OutcomeRecord(counts=counts, m_shots=800, povm_id=rec.povm_id,
+                         seed=51, diagnostics={"clamped": 99})
+    assert same == rec  # diagnostics stay out of the comparison
+    moved = dict(counts)
+    first, second = list(moved)[:2]
+    moved[first] += 1
+    moved[second] -= 1
+    if not moved[second]:
+        del moved[second]
+    for other in (
+            OutcomeRecord(counts=moved, m_shots=800, povm_id=rec.povm_id,
+                          seed=51),
+            OutcomeRecord(counts=counts, m_shots=800, povm_id="other",
+                          seed=51),
+            OutcomeRecord(counts=counts, m_shots=800, povm_id=rec.povm_id,
+                          seed=52),
+            sample_sequential(povm, _mpdo(3, seed=50), 801, seed=51)):
+        assert other != rec
+    pop = population_record(povm, _mpdo(3, seed=50))
+    assert pop != rec
+    assert record_from_json_dict(json.loads(json.dumps(
+        record_to_json_dict(pop)))) == pop
+
+
+def test_record_constructor_rejects_malformed_outcomes():
+    for counts in ({(1, 2): 1, (1,): 1}, {(): 2}, {(1, "a"): 2}):
+        with pytest.raises(ValueError):
+            OutcomeRecord(counts=counts, m_shots=2, povm_id="", seed=0)
+    with pytest.raises(ValueError, match="listed twice"):
+        OutcomeRecord(np.array([1, 2]), m_shots=3, povm_id="", seed=0,
+                      outcomes=np.array([[2, 1], [2, 1]]))
+    rec = OutcomeRecord(np.array([1, 2]), m_shots=3, povm_id="", seed=0,
+                        outcomes=np.array([[2, 1], [1, 300]]))
+    assert rec.outcomes.dtype == np.int64
+    assert dict(rec.counts) == {(1, 300): 2, (2, 1): 1}
+
+
+@pytest.mark.parametrize("fault, match", [
+    ([[[1, 2], 1], [[1], 1]], "equal-length"),
+    ([[[1, 2], 1], [[1, 2], 1]], "listed twice"),
+    ([[[1, 2.0], 2]], "integers"),
+    ([[[1, 2], 1, 0]], "pairs"),
+    ([[[1, 2 ** 70], 2]], "out of range"),
+])
+def test_record_loader_rejects_ragged_and_repeated_outcomes(fault, match):
+    data = {"kind": "counts", "M": 2, "seed": 0, "counts": fault}
+    with pytest.raises(ValueError, match=match):
+        record_from_json_dict(data)
