@@ -22,7 +22,6 @@ def main():
     parser.add_argument("--rank", type=int, default=1)
     parser.add_argument("--seeds", type=int, default=5)
     parser.add_argument("--base-seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     spec = ExperimentSpec(
@@ -36,7 +35,7 @@ def main():
         estimator_overrides={"max_iters": 200, "mu0": 5 / 32, "lam": 1.0,
                              "scale_2n": True},
     )
-    result = run_experiment(spec, args.out, threads=args.threads)
+    result = run_experiment(spec, args.out)
     meds = sorted((med["shots"], med["median_final_error"])
                   for med in result["medians"])
     for shots, err in meds:

@@ -21,7 +21,6 @@ def main():
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--algorithm", choices=["pgd", "psgd"],
                         default="pgd")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     spec = ExperimentSpec(
@@ -34,7 +33,7 @@ def main():
         base_seed=args.base_seed,
         estimator_overrides={"max_iters": 300},
     )
-    result = run_experiment(spec, args.out, threads=args.threads)
+    result = run_experiment(spec, args.out)
     print(f"{result['cells_run']} new cells "
           f"({result['cells_total']} total) -> {result['results_csv']}")
     for med in result["medians"]:

@@ -73,6 +73,5 @@ from .estimator import (  # noqa: F401
     random_init,
     recovery_error,
     spectral_init,
-    wirtinger_gradient,
 )
 from .experiment import ExperimentSpec, run_experiment  # noqa: F401

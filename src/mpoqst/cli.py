@@ -56,16 +56,6 @@ from .tt import (
     tt_trace,
 )
 
-_ENV_THREADS = "MPOQST_THREADS"
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(_ENV_THREADS, "1")))
-    except ValueError:
-        return 1
-
-
 def _sha256_of(data) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
@@ -160,6 +150,11 @@ def cmd_estimate(args) -> int:
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ValueError(f"config {args.config} is not a JSON object")
+        if "init_state" in overrides:
+            raise ValueError("init_state cannot be set in a config file; "
+                             "use --init-state")
     overrides.setdefault("backend", args.backend)
     if args.init_state:
         overrides["init"] = "provided"
@@ -243,7 +238,7 @@ def cmd_gamma(args) -> int:
 def cmd_experiment(args) -> int:
     with open(args.spec) as fh:
         spec = ExperimentSpec.from_json_dict(json.load(fh))
-    result = run_experiment(spec, args.out, threads=args.threads)
+    result = run_experiment(spec, args.out)
     print(json.dumps({"cells_total": result["cells_total"],
                       "cells_run": result["cells_run"],
                       "results_csv": result["results_csv"],
@@ -283,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="run the least-squares estimator")
     p.add_argument("--record", required=True)
     p.add_argument("--povm", default="local-sic")
-    p.add_argument("--config", help="JSON file of EstimatorConfig fields")
+    p.add_argument("--config", help="JSON object of EstimatorConfig fields")
     p.add_argument("--algorithm", choices=["pgd", "psgd"], default="pgd")
     p.add_argument("--backend", choices=["tt", "dense"], default="tt")
     p.add_argument("--truth", help="state file for error logging")
@@ -316,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a seeded sweep")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", default="experiment-out")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=cmd_experiment)
 
     return parser

@@ -25,10 +25,17 @@ O(n d^2 r R^2) per step instead of the O(n d^2 R^3) of rounding the whole
 sum.  PGD's spectral initialization and loss cross term <E, rho> read the
 same E; PSGD builds none and takes the cross term from the amplitudes
 of the record's observed outcomes.
+
+One loop (``_descend``) runs PGD on MPOs, PGD on dense matrices (the
+reference backend for small n) and PSGD.  It owns the step schedule,
+the divergence checks, the iterate checks, the trace rows and the
+plateau stop; each algorithm supplies only its start, its loss and its
+step.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -51,6 +58,7 @@ from .tt import (
     _orthogonalize_left,
     _orthogonalize_right,
     cap_ranks,
+    is_hermitian,
     max_tt_ranks,
     tt_add,
     tt_adjoint,
@@ -94,14 +102,20 @@ def preset_schedule(algorithm: str, init: str, max_rank: int) -> dict:
     return dict(STEP_PRESETS[f"pgd-{kind}-{suffix}"])
 
 
+def _is_number(value, kind) -> bool:
+    """isinstance(value, kind), but False for a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class EstimatorConfig:
     """Estimator hyperparameters.
 
     ranks may be a single max rank or an explicit internal rank vector;
-    either is clipped to the structural caps.  design_order_t documents
-    the order t of the design inducing the POVM: the uniformity factor in
-    sample-complexity diagnostics is gamma for t == 2 and 1 for t >= 3.
+    either is clipped to the structural caps.  Ranks, iteration counts,
+    sizes and the seed must be integers, mu0, lam and the tolerances
+    numbers (mu0 positive and finite) and the switches booleans
+    (ValueError otherwise).
     """
 
     ranks: object = 1
@@ -121,13 +135,38 @@ class EstimatorConfig:
     plateau_window: int = 10
     record_trace: bool = True
     check_iterates: bool = False
-    design_order_t: int = 2
 
     def __post_init__(self):
+        # lower bounds of the integer fields; epoch_size may be None
+        counts = {"max_iters": 0, "max_epochs": 0, "batch_size": 1,
+                  "epoch_size": 1, "plateau_window": 1, "init_seed": 0}
+        for name, low in counts.items():
+            value = getattr(self, name)
+            if value is None and name == "epoch_size":
+                continue
+            if not _is_number(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
+        for name in ("mu0", "lam", "plateau_rel_tol", "tt_round_tol"):
+            value = getattr(self, name)
+            if not (value is None and name == "tt_round_tol"
+                    or _is_number(value, numbers.Real)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name in ("scale_2n", "record_trace", "check_iterates"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be true or false, got "
+                                 f"{getattr(self, name)!r}")
+        if not 0 < self.mu0 < float("inf"):
+            raise ValueError("mu0 must be positive and finite")
+        ranks = (self.ranks if isinstance(self.ranks, (list, tuple))
+                 else [self.ranks])
+        if not all(_is_number(r, numbers.Integral) and r >= 1
+                   for r in ranks):
+            raise ValueError("ranks must be a positive integer or a list "
+                             f"of them, got {self.ranks!r}")
         if not 0 < self.lam <= 1:
             raise ValueError("lam must be in (0, 1]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.init not in ("spectral", "random", "provided"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.backend not in ("tt", "dense"):
@@ -135,11 +174,6 @@ class EstimatorConfig:
 
     def rank_vector(self, n: int, d: int) -> tuple:
         return cap_ranks(self.ranks, n, d)
-
-    def max_rank(self) -> int:
-        if np.isscalar(self.ranks):
-            return int(self.ranks)
-        return max(int(r) for r in self.ranks)
 
 
 @dataclass(frozen=True)
@@ -275,7 +309,7 @@ def empirical_operator(record, povm: ProductPOVM) -> TTTensor:
 
 
 # ---------------------------------------------------------------------------
-# loss and gradient
+# loss
 
 
 def _loss_from_parts(state, channel, cross: float, weight_sq: float) -> float:
@@ -315,39 +349,6 @@ def loss_dense(state: DenseOperator, record, povm: ProductPOVM) -> float:
     """Direct K-vector evaluation for cross-checks (small n)."""
     residual = measure_map_dense(povm, state) - _dense_weights(record, povm)
     return float(residual @ residual)
-
-
-@dataclass(frozen=True)
-class GradientHandle:
-    """Structured gradient: channel MPO (ranks of the iterate) minus the
-    weighted product-operator data terms, pre-summed into one exact MPO.
-    Supports step-and-project without materializing a dense operator."""
-
-    channel: TTTensor
-    empirical: TTTensor
-    terms: tuple  # (weight, outcome) pairs of the data sum
-
-    def norm(self) -> float:
-        val = (tt_inner(self.channel, self.channel).real
-               - 2.0 * tt_inner(self.channel, self.empirical).real
-               + tt_inner(self.empirical, self.empirical).real)
-        return float(np.sqrt(max(val, 0.0)))
-
-    def to_dense(self, n_dense: int = N_DENSE_MAX) -> DenseOperator:
-        c = tt_to_dense(self.channel, n_dense=n_dense).matrix
-        e = tt_to_dense(self.empirical, n_dense=n_dense).matrix
-        return DenseOperator.from_matrix(c - e, d=self.channel.d,
-                                         n_dense=n_dense)
-
-
-def wirtinger_gradient(state: TTTensor, record, povm: ProductPOVM,
-                       empirical: TTTensor = None) -> GradientHandle:
-    """Gradient sum_k (<A_k, rho> - p_hat_k) A_k as a lazy structured sum."""
-    if empirical is None:
-        empirical = empirical_operator(record, povm)
-    channel = sum_channel(povm, state)
-    terms = tuple(record.weights().items())
-    return GradientHandle(channel=channel, empirical=empirical, terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +479,7 @@ def psd_project(state, n_dense: int = N_DENSE_MAX) -> DenseOperator:
 
 
 # ---------------------------------------------------------------------------
-# iteration loops
+# the descent loop
 
 
 def _step_size(config: EstimatorConfig, n: int, tau: int) -> float:
@@ -502,8 +503,6 @@ def _check_iterate(state: TTTensor):
     tr = tt_trace(state)
     if abs(tr - 1.0) > 1e-10:
         raise NumericalError(f"iterate trace {tr} deviates from 1")
-    from .tt import is_hermitian
-
     if not is_hermitian(state, 1e-8):
         raise NumericalError("iterate lost Hermiticity")
 
@@ -515,105 +514,123 @@ def _log_row(log, iteration, loss_val, state, truth, step, t0):
                             wall_ms=(time.perf_counter() - t0) * 1e3))
 
 
+def _descend(record, povm: ProductPOVM, config: EstimatorConfig, truth,
+             algorithm: str, prepare) -> Estimate:
+    """The one descent loop, shared by PGD on either backend and PSGD.
+
+    ``prepare(record, povm, config, ranks)`` returns (state, loss_of,
+    step, extra): the start, the loss of an iterate, a generator
+    ``step(state, k, mu)`` of the iterates of outer step k (one for PGD,
+    one per batch for PSGD's epoch k) and extra metadata.  The loop owns
+    the step schedule mu0 * 2^n * lam^k, checks every iterate when
+    check_iterates is set, logs a row per outer step and stops on the
+    budget (max_iters, for PSGD max_epochs) or a loss plateau.  A failed
+    decomposition or a non-finite loss raises NumericalError naming the
+    outer step (iteration or epoch) and its step size.
+
+    The loss of each outer step's last iterate is taken before the next
+    step starts, so a step may reuse what loss_of computed for its start
+    (PGD's channel term, the dense path's probabilities).
+    """
+    n = povm.n
+    ranks = config.rank_vector(n, povm.d)
+    if algorithm == "psgd":
+        unit, limit, reason = "epoch", config.max_epochs, "max_epochs"
+    else:
+        unit, limit, reason = "iteration", config.max_iters, "max_iters"
+    t0 = time.perf_counter()
+    state, loss_of, step, extra = prepare(record, povm, config, ranks)
+    log = []
+    cur_loss = loss_of(state)
+    _log_row(log, 0, cur_loss, state, truth, float("nan"), t0)
+    losses = [cur_loss]
+    iterations = 0
+    for k in range(limit):
+        mu = _step_size(config, n, k)
+        try:
+            for state in step(state, k, mu):
+                iterations += 1
+                if config.check_iterates:
+                    _check_iterate(state)
+            cur_loss = loss_of(state)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"decomposition failed at {unit} {k + 1} "
+                f"(step {mu:.3g} too large): {exc}") from exc
+        if not np.isfinite(cur_loss):
+            raise NumericalError(
+                f"non-finite loss at {unit} {k + 1} "
+                f"(step {mu:.3g} too large)")
+        if config.record_trace:
+            _log_row(log, iterations, cur_loss, state, truth, mu, t0)
+        losses.append(cur_loss)
+        if _plateaued(losses, config.plateau_window, config.plateau_rel_tol):
+            reason = "loss_plateau"
+            break
+    return Estimate(state=state, trace_log=log, iterations_run=iterations,
+                    converged_reason=reason,
+                    metadata={"algorithm": algorithm,
+                              "backend": config.backend,
+                              "ranks": list(ranks), **extra,
+                              "final_loss": losses[-1]})
+
+
 def pgd(record, povm: ProductPOVM, config: EstimatorConfig,
         truth: TTTensor = None) -> Estimate:
     """Full-gradient projected descent with the diminishing step schedule
     mu_tau = mu0 * 2^n * lam^tau.  Stops on max_iters or when the relative
     loss change stays within plateau_rel_tol over plateau_window
-    iterations.  Raises NumericalError on a non-finite loss (step too
-    large), reporting the offending iteration."""
-    if config.backend == "dense":
-        return _pgd_dense(record, povm, config, truth)
-    n, d = povm.n, povm.d
-    ranks = config.rank_vector(n, d)
-    t0 = time.perf_counter()
+    iterations.  Raises NumericalError on a failed decomposition or a
+    non-finite loss (step too large), reporting the offending iteration."""
+    prepare = _dense_pgd if config.backend == "dense" else _tt_pgd
+    return _descend(record, povm, config, truth, "pgd", prepare)
+
+
+def _tt_pgd(record, povm, config, ranks):
+    """PGD on MPOs: E once, then each step rounds rho - mu Phi(rho) + mu E
+    against E's orthonormal rows.  The loss and the next step share one
+    sum_channel per iterate."""
     emp = empirical_operator(record, povm)
     state = _initial_state(record, povm, config, ranks, emp)
     weight_sq = _weight_sq(record)
-    log = []
-    channel = sum_channel(povm, state)
-    cur_loss = _loss_from_parts(state, channel, tt_inner(state, emp).real,
+    channel = None
+
+    def loss_of(rho):
+        nonlocal channel
+        channel = sum_channel(povm, rho)
+        return _loss_from_parts(rho, channel, tt_inner(rho, emp).real,
                                 weight_sq)
-    _log_row(log, 0, cur_loss, state, truth, float("nan"), t0)
-    losses = [cur_loss]
-    reason = "max_iters"
-    iterations = 0
-    for tau in range(config.max_iters):
-        mu = _step_size(config, n, tau)
-        try:
-            state = _project_with_data(tt_add(state, tt_scale(channel, -mu)),
-                                       emp, mu, ranks,
-                                       round_tol=config.tt_round_tol)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"decomposition failed at iteration {tau + 1} "
-                f"(step {mu:.3g} too large): {exc}") from exc
-        channel = sum_channel(povm, state)
-        cur_loss = _loss_from_parts(state, channel,
-                                    tt_inner(state, emp).real, weight_sq)
-        iterations = tau + 1
-        if not np.isfinite(cur_loss):
-            raise NumericalError(
-                f"non-finite loss at iteration {iterations} "
-                f"(step {mu:.3g} too large)")
-        if config.check_iterates:
-            _check_iterate(state)
-        if config.record_trace:
-            _log_row(log, iterations, cur_loss, state, truth, mu, t0)
-        losses.append(cur_loss)
-        if _plateaued(losses, config.plateau_window, config.plateau_rel_tol):
-            reason = "loss_plateau"
-            break
-    return Estimate(state=state, trace_log=log, iterations_run=iterations,
-                    converged_reason=reason,
-                    metadata={"algorithm": "pgd", "backend": "tt",
-                              "ranks": list(ranks), "final_loss": losses[-1]})
+
+    def step(rho, k, mu):
+        yield _project_with_data(tt_add(rho, tt_scale(channel, -mu)), emp,
+                                 mu, ranks, round_tol=config.tt_round_tol)
+
+    return state, loss_of, step, {}
 
 
-def _pgd_dense(record, povm, config, truth):
+def _dense_pgd(record, povm, config, ranks):
     """Dense-matrix reference path: materialized POVM elements, explicit
     gradient, identical projection.  Cross-check backend for small n."""
     n, d = povm.n, povm.d
     if povm.k_total * (d ** n) ** 2 > 2_000_000:
         raise ValueError("dense backend limited to small systems")
-    ranks = config.rank_vector(n, d)
-    t0 = time.perf_counter()
     state = _initial_state(record, povm, config, ranks)
     elements = np.stack([a for a in dense_from_product(povm).elements])
     p_hat = _dense_weights(record, povm)
-    log = []
-    dense_state = tt_to_dense(state).matrix
-    probs = np.einsum("kij,ij->k", elements.conj(), dense_state).real
-    cur_loss = float(((probs - p_hat) ** 2).sum())
-    _log_row(log, 0, cur_loss, state, truth, float("nan"), t0)
-    losses = [cur_loss]
-    reason = "max_iters"
-    iterations = 0
-    for tau in range(config.max_iters):
-        mu = _step_size(config, n, tau)
+    dense = probs = None
+
+    def loss_of(rho):
+        nonlocal dense, probs
+        dense = tt_to_dense(rho).matrix
+        probs = np.einsum("kij,ij->k", elements.conj(), dense).real
+        return float(((probs - p_hat) ** 2).sum())
+
+    def step(rho, k, mu):
         grad = np.einsum("k,kij->ij", probs - p_hat, elements)
-        stepped = dense_state - mu * grad
-        state = project_mpo(DenseOperator.from_matrix(stepped, d=d), ranks)
-        dense_state = tt_to_dense(state).matrix
-        probs = np.einsum("kij,ij->k", elements.conj(), dense_state).real
-        cur_loss = float(((probs - p_hat) ** 2).sum())
-        iterations = tau + 1
-        if not np.isfinite(cur_loss):
-            raise NumericalError(
-                f"non-finite loss at iteration {iterations} "
-                f"(step {mu:.3g} too large)")
-        if config.check_iterates:
-            _check_iterate(state)
-        if config.record_trace:
-            _log_row(log, iterations, cur_loss, state, truth, mu, t0)
-        losses.append(cur_loss)
-        if _plateaued(losses, config.plateau_window, config.plateau_rel_tol):
-            reason = "loss_plateau"
-            break
-    return Estimate(state=state, trace_log=log, iterations_run=iterations,
-                    converged_reason=reason,
-                    metadata={"algorithm": "pgd", "backend": "dense",
-                              "ranks": list(ranks), "final_loss": losses[-1]})
+        yield project_mpo(DenseOperator.from_matrix(dense - mu * grad, d=d),
+                          ranks)
+
+    return state, loss_of, step, {}
 
 
 def _zero_outcome_filler(povm: ProductPOVM, nonzero, count: int,
@@ -663,13 +680,20 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
     uniform pass over all K outcomes, and the batch gradient is used
     unscaled; the decaying step absorbs the resulting scale.  The step
     schedule decays per epoch (each epoch makes one effective pass), so
-    iteration tau within epoch e uses mu0 * 2^n * lam^e.
+    iteration tau within epoch e uses mu0 * 2^n * lam^e.  MPOs only:
+    ValueError for the dense backend.
     """
+    if config.backend == "dense":
+        raise ValueError("psgd runs on the tt backend only")
+    return _descend(record, povm, config, truth, "psgd", _psgd)
+
+
+def _psgd(record, povm, config, ranks):
+    """PSGD's epoch sizing, its loss (the cross term from the record's
+    amplitudes) and its epochs of batch steps."""
     n, d = povm.n, povm.d
-    ranks = config.rank_vector(n, d)
     observed, p_obs = record.outcomes, record.p_hat
     n_obs = len(p_obs)
-    k_total = povm.k_total
     max_rank = max(ranks) if ranks else 1
     if config.epoch_size is not None:
         n_epoch = config.epoch_size
@@ -677,73 +701,42 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
             raise ValueError(
                 f"epoch_size {n_epoch} below nonzero outcome count {n_obs}")
     else:
-        n_epoch = min(max(10 * d * d * n * max_rank ** 2, n_obs), k_total)
+        n_epoch = min(max(10 * d * d * n * max_rank ** 2, n_obs),
+                      povm.k_total)
     batch = min(config.batch_size, n_epoch)
-    t0 = time.perf_counter()
     state = _initial_state(record, povm, config, ranks)
     weight_sq = _weight_sq(record)
 
-    def epoch_loss(rho):
+    def loss_of(rho):
         # cross term <E, rho> = sum_k p_hat_k <A_k, rho> over the record
         cross = float(p_obs @ outcome_amplitudes(povm, rho, observed).real)
         return _loss_from_parts(rho, sum_channel(povm, rho), cross,
                                 weight_sq)
 
-    log = []
-    cur_loss = epoch_loss(state)
-    _log_row(log, 0, cur_loss, state, truth, float("nan"), t0)
-    epoch_losses = [cur_loss]
-    reason = "max_epochs"
-    tau = 0
-    for epoch in range(config.max_epochs):
+    def step(rho, epoch, mu):
         rng = np.random.Generator(np.random.Philox(
             key=((int(config.init_seed) << 64) + 0xE0C + epoch)))
         filler = _zero_outcome_filler(povm, observed, n_epoch - n_obs, rng)
         subset = np.concatenate([observed, filler])
         subset_p = np.concatenate([p_obs, np.zeros(len(filler))])
         order = rng.permutation(len(subset))
-        iters = max(len(subset) // batch, 1)
-        mu = _step_size(config, n, epoch)
-        for it in range(iters):
+        for it in range(max(len(subset) // batch, 1)):
             pick = order[it * batch:(it + 1) * batch]
             if not len(pick):
-                break
+                return
             chosen = subset[pick]
-            coeffs = (outcome_amplitudes(povm, state, chosen).real
+            coeffs = (outcome_amplitudes(povm, rho, chosen).real
                       - subset_p[pick])
             grad_tt = outcome_sum_tt(chosen, coeffs, povm)
-            acc = tt_add(state, tt_scale(grad_tt, -mu))
-            state = project_mpo(acc, ranks, round_tol=config.tt_round_tol)
-            tau += 1
-            if config.check_iterates:
-                _check_iterate(state)
-        cur_loss = epoch_loss(state)
-        if not np.isfinite(cur_loss):
-            raise NumericalError(
-                f"non-finite loss in epoch {epoch + 1}")
-        if config.record_trace:
-            _log_row(log, tau, cur_loss, state, truth, mu, t0)
-        epoch_losses.append(cur_loss)
-        if _plateaued(epoch_losses, config.plateau_window,
-                      config.plateau_rel_tol):
-            reason = "loss_plateau"
-            break
-    return Estimate(state=state, trace_log=log, iterations_run=tau,
-                    converged_reason=reason,
-                    metadata={"algorithm": "psgd", "backend": "tt",
-                              "ranks": list(ranks), "epoch_size": n_epoch,
-                              "batch_size": batch,
-                              "final_loss": epoch_losses[-1]})
+            rho = project_mpo(tt_add(rho, tt_scale(grad_tt, -mu)), ranks,
+                              round_tol=config.tt_round_tol)
+            yield rho
+
+    return state, loss_of, step, {"epoch_size": n_epoch, "batch_size": batch}
 
 
 # ---------------------------------------------------------------------------
 # theory diagnostics
-
-
-def gamma_t_factor(gamma_value: float, design_order_t: int) -> float:
-    """Uniformity factor entering sample-complexity diagnostics: the
-    measured gamma for 2-designs, 1 for higher designs."""
-    return float(gamma_value) if design_order_t == 2 else 1.0
 
 
 def admissible_step_interval(n: int, d: int, k_total: int, sigma_min: float,

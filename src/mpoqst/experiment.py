@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import asdict, dataclass, field
 from html import escape
 
@@ -101,7 +101,7 @@ class ResultRow:
     final_loss: float
     iterations: int
     converged: bool
-    wall_ms: float
+    wall_ms: float  # time of the estimator run
     gamma_beam: float = float("nan")
 
 
@@ -157,13 +157,14 @@ def run_cell(spec: ExperimentSpec, cell: dict) -> ResultRow:
     params.update(spec.estimator_overrides)
     config = EstimatorConfig(**params)
     runner = pgd if cell["algorithm"] == "pgd" else psgd
+    t0 = time.perf_counter()
     estimate = runner(record, povm, config, truth=truth)
+    wall_ms = (time.perf_counter() - t0) * 1e3
     init_error = estimate.trace_log[0].error
     final_error = recovery_error(estimate.state, truth)
     gamma_beam = float("nan")
     if spec.record_gamma:
         gamma_beam = gamma(povm, truth, method="beam", beam_width=64).gamma
-    wall_ms = estimate.trace_log[-1].wall_ms if estimate.trace_log else 0.0
     return ResultRow(n=n, shots=m, rank=rank, init=cell["init"],
                      algorithm=cell["algorithm"],
                      seed_index=cell["seed_index"], state_seed=state_seed,
@@ -314,35 +315,24 @@ def _plot_medians(medians: list, out_dir: str) -> list:
     return written
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: str,
-                   threads: int = 1) -> dict:
+def run_experiment(spec: ExperimentSpec, out_dir: str) -> dict:
     """Execute all cells (skipping completed ones), then write results.csv,
     medians.csv, provenance.json, and SVG plots into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     cells_dir = os.path.join(out_dir, "cells")
     os.makedirs(cells_dir, exist_ok=True)
     cells = list(iter_cells(spec))
-    pending = []
+    cells_run = 0
     for cell in cells:
         path = os.path.join(cells_dir, cell_key(cell) + ".json")
-        if not os.path.exists(path):
-            pending.append((cell, path))
-
-    def work(item):
-        cell, path = item
+        if os.path.exists(path):
+            continue
         row = run_cell(spec, cell)
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
             json.dump({"cell": cell, "row": asdict(row)}, fh)
         os.replace(tmp, path)
-        return row
-
-    if threads > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, pending))
-    else:
-        for item in pending:
-            work(item)
+        cells_run += 1
 
     rows = []
     for cell in cells:
@@ -363,4 +353,4 @@ def run_experiment(spec: ExperimentSpec, out_dir: str,
     plots = _plot_medians(medians, out_dir)
     return {"rows": rows, "medians": medians, "results_csv": results_path,
             "medians_csv": medians_path, "plots": plots,
-            "cells_run": len(pending), "cells_total": len(cells)}
+            "cells_run": cells_run, "cells_total": len(cells)}

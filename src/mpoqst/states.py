@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tt import NumericalError, TTTensor, fuse_index, tt_inner
+from .tt import NumericalError, TTTensor, fuse_index, tt_inner, tt_trace
 
 # Offset used to derive the one retry seed on a non-positive trace draw.
 _RESEED_OFFSET = 0x9E3779B9
@@ -68,16 +68,6 @@ def _draw_mpdo(config: MPDOGenConfig, seed: int) -> TTTensor:
     return TTTensor(tuple(cores), d=d)
 
 
-def mpo_trace_chain(state: TTTensor) -> complex:
-    """Trace via the chain of per-site diagonal-slice sums."""
-    d = state.d
-    diag = [fuse_index(i, i, d) for i in range(d)]
-    v = np.ones((1, 1), dtype=complex)
-    for core in state.cores:
-        v = v @ core[:, diag, :].sum(axis=1)
-    return complex(v[0, 0])
-
-
 def random_mpdo(config: MPDOGenConfig) -> TTTensor:
     """Random PSD unit-trace MPO with bond dimension kappa^2.
 
@@ -88,7 +78,7 @@ def random_mpdo(config: MPDOGenConfig) -> TTTensor:
     seed = config.seed
     for attempt in range(2):
         state = _draw_mpdo(config, seed)
-        tr = mpo_trace_chain(state)
+        tr = tt_trace(state)
         if tr.real > 0 and abs(tr.imag) <= 1e-10 * tr.real:
             scale = tr.real ** (-1.0 / config.n)
             cores = tuple(c * scale for c in state.cores)

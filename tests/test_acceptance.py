@@ -12,10 +12,10 @@ import pytest
 from mpoqst.estimator import (
     STEP_PRESETS,
     EstimatorConfig,
+    empirical_operator,
     loss_dense,
     pgd,
     psd_project,
-    wirtinger_gradient,
 )
 from mpoqst.povm import (
     DensePOVM,
@@ -31,6 +31,7 @@ from mpoqst.povm import (
     probability_tensor,
     sic_qubit,
     sic_qubit_vectors,
+    sum_channel,
 )
 from mpoqst.sampling import population_record, sample_enumerate, sample_sequential
 from mpoqst.states import MPDOGenConfig, maximally_mixed, pure_product, random_mpdo
@@ -280,7 +281,8 @@ def test_criterion_6_estimator():
     rho2 = _mpdo(2, seed=106)
     rec2 = sample_enumerate(povm2, rho2, 3000, seed=15)
     point = _mpdo(2, seed=107)
-    grad = wirtinger_gradient(point, rec2, povm2).to_dense().matrix
+    grad = (tt_to_dense(sum_channel(povm2, point)).matrix
+            - tt_to_dense(empirical_operator(rec2, povm2)).matrix)
     dm = tt_to_dense(point).matrix
     rng = np.random.default_rng(108)
     eps = 1e-5

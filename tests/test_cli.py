@@ -7,6 +7,7 @@ import json
 import os
 import re
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -225,32 +226,128 @@ def _records(draw):
     return record
 
 
-def _estimate_exit_code(record, mode) -> int:
+_FUZZ_CONFIG = {"ranks": 1, "max_iters": 2, "max_epochs": 1}
+_FUZZ_RECORD = {"kind": "counts", "M": 5, "seed": 0, "povm_id": "",
+                "counts": [[[1, 2], 2], [[4, 3], 3]]}
+
+
+def _estimate_exit_code(record, mode, config=_FUZZ_CONFIG) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "record.json")
         with open(path, "w") as fh:
             fh.write(json.dumps(record))
-        config = os.path.join(tmp, "config.json")
-        with open(config, "w") as fh:
-            fh.write(json.dumps({"ranks": 1, "max_iters": 2,
-                                 "max_epochs": 1}))
+        config_path = os.path.join(tmp, "config.json")
+        with open(config_path, "w") as fh:
+            fh.write(json.dumps(config))
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            return main(["estimate", "--record", path, "--config", config,
+            return main(["estimate", "--record", path,
+                         "--config", config_path,
                          "--out", os.path.join(tmp, "fit"), *mode])
 
 
 @pytest.mark.parametrize("mode", _ESTIMATE_MODES)
 def test_estimate_accepts_unfaulted_fuzz_records(mode):
-    record = {"kind": "counts", "M": 5, "seed": 0, "povm_id": "",
-              "counts": [[[1, 2], 2], [[4, 3], 3]]}
-    assert _estimate_exit_code(record, mode) == 0
+    assert _estimate_exit_code(_FUZZ_RECORD, mode) == 0
 
 
 @settings(max_examples=50, deadline=None)
 @given(record=_records(), mode=st.sampled_from(_ESTIMATE_MODES))
 def test_estimate_malformed_record_exits_1_or_2(record, mode):
     assert _estimate_exit_code(record, mode) in (1, 2)
+
+
+# Faults of one EstimatorConfig field each: wrong types, values out of
+# range and, for the integer fields, numbers that are not integers.
+_NOT_REAL = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                      st.lists(st.floats(), max_size=2))
+
+
+def _bad_count(low):
+    return st.one_of(_NOT_REAL, st.integers(max_value=low - 1), st.floats())
+
+
+_CONFIG_FAULTS = {
+    "max_iters": _bad_count(0), "max_epochs": _bad_count(0),
+    "batch_size": _bad_count(1), "plateau_window": _bad_count(1),
+    "init_seed": _bad_count(0),
+    "epoch_size": _bad_count(1).filter(lambda x: x is not None),
+    "lam": st.one_of(_NOT_REAL, st.floats().filter(
+        lambda x: not 0 < x <= 1)),
+    "mu0": st.one_of(_NOT_REAL, st.floats(max_value=0),
+                     st.sampled_from([float("nan"), float("inf")])),
+    "plateau_rel_tol": _NOT_REAL,
+    "tt_round_tol": _NOT_REAL.filter(lambda x: x is not None),
+    "ranks": st.one_of(_NOT_REAL,
+                       st.integers(max_value=0),
+                       st.sampled_from([float("nan"), float("inf"), 2.5])),
+    **dict.fromkeys(("scale_2n", "record_trace", "check_iterates"),
+                    _JUNK.filter(lambda x: not isinstance(x, bool))),
+    "init": _JUNK, "backend": _JUNK,
+    "init_state": st.one_of(_JUNK, st.just({})),
+    "design_order_t": st.integers(2, 3), "bogus": _JUNK,
+}
+
+
+@st.composite
+def _configs(draw):
+    """An estimate config, valid for every mode but for one fault."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(_CONFIG_FAULTS)))
+        return {**_FUZZ_CONFIG, name: draw(_CONFIG_FAULTS[name])}
+    return draw(st.one_of(st.none(), st.integers(), st.text(max_size=3),
+                          st.lists(st.integers(), max_size=2)))
+
+
+@pytest.mark.parametrize("mode", _ESTIMATE_MODES)
+def test_estimate_accepts_unfaulted_fuzz_config(mode):
+    # every field the fuzz faults, at a valid value
+    full = {**_FUZZ_CONFIG, "mu0": 0.5, "lam": 1.0, "batch_size": 3,
+            "epoch_size": 4, "plateau_window": 1, "init_seed": 3,
+            "plateau_rel_tol": 0, "tt_round_tol": 1e-12, "ranks": [1]}
+    assert _estimate_exit_code(_FUZZ_RECORD, mode, full) == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(config=_configs(), mode=st.sampled_from(_ESTIMATE_MODES))
+def test_estimate_malformed_config_exits_1_or_2(config, mode):
+    assert _estimate_exit_code(_FUZZ_RECORD, mode, config) in (1, 2)
+
+
+@pytest.mark.parametrize("config", [
+    None, [], [1, 2], {"init": "provided", "init_state": {}},
+    {"design_order_t": 2}, {"max_iters": 2.5, "max_epochs": 1},
+    {"max_iters": 2, "max_epochs": 1, "batch_size": 2.5},
+    {"max_iters": True}, {"max_epochs": 1.0}])
+@pytest.mark.parametrize("mode", _ESTIMATE_MODES)
+def test_estimate_rejects_config_faults(config, mode):
+    # a config that is not an object, or sets init_state, never reaches
+    # EstimatorConfig; a fractional count is refused also in the modes
+    # that do not read it
+    assert _estimate_exit_code(_FUZZ_RECORD, mode, config) == 1
+
+
+@pytest.mark.parametrize("mode", _ESTIMATE_MODES)
+def test_estimate_divergence_exits_2(mode, workspace, capsys):
+    record = workspace / "rec.json"
+    record.write_text(json.dumps(_FUZZ_RECORD))
+    cfg = workspace / "cfg.json"
+    cfg.write_text(json.dumps({"ranks": 4, "mu0": 1e300, "lam": 1.0,
+                               "max_iters": 50, "max_epochs": 50}))
+    assert run(["estimate", "--record", record, "--config", cfg,
+                "--out", workspace / "fit", *mode]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert ("at epoch" if "psgd" in mode else "at iteration") in err
+
+
+def test_estimate_rejects_dense_psgd(workspace, capsys):
+    record = workspace / "rec.json"
+    record.write_text(json.dumps(_FUZZ_RECORD))
+    assert run(["estimate", "--record", record, "--algorithm", "psgd",
+                "--backend", "dense", "--out", workspace / "fit"]) == 1
+    assert "tt backend only" in capsys.readouterr().err
+    assert not (workspace / "fit.json").exists()
 
 
 def _sic_site() -> dict:
@@ -542,8 +639,7 @@ def test_experiment_row_accounting(workspace, capsys):
     spec_path = workspace / "spec.json"
     spec_path.write_text(json.dumps(spec))
     out_dir = workspace / "exp"
-    assert run(["experiment", "--spec", spec_path, "--out", out_dir,
-                "--threads", 2]) == 0
+    assert run(["experiment", "--spec", spec_path, "--out", out_dir]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["cells_total"] == 80  # 4 * 1 * 2 * 2 * 5
     with open(out_dir / "results.csv") as fh:
@@ -553,6 +649,21 @@ def test_experiment_row_accounting(workspace, capsys):
     assert all(float(r["final_error"]) >= 0 for r in rows)
     assert (out_dir / "provenance.json").exists()
     assert (out_dir / "error_vs_n.svg").exists()
+
+
+def test_experiment_wall_ms_covers_the_estimator(monkeypatch):
+    # a row's wall_ms times the whole estimator run, not its init row
+    run_pgd = experiment.pgd
+
+    def slow_pgd(*args, **kwargs):
+        time.sleep(0.3)
+        return run_pgd(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "pgd", slow_pgd)
+    spec = experiment.ExperimentSpec(n_values=[2], m_values=[200], seeds=1,
+                                     estimator_overrides={"max_iters": 3})
+    row = experiment.run_cell(spec, next(experiment.iter_cells(spec)))
+    assert row.wall_ms >= 300
 
 
 def test_plot_medians_writes_deterministic_svg(tmp_path):

@@ -12,7 +12,6 @@ from mpoqst.estimator import (
     admissible_init_radius,
     admissible_step_interval,
     empirical_operator,
-    gamma_t_factor,
     loss,
     loss_dense,
     outcome_sum_tt,
@@ -25,7 +24,6 @@ from mpoqst.estimator import (
     random_init,
     recovery_error,
     spectral_init,
-    wirtinger_gradient,
 )
 from mpoqst.povm import (
     LocalPOVM,
@@ -288,18 +286,23 @@ def test_loss_nonnegative():
 # gradient
 
 
+def _gradient_parts(state, rec, povm):
+    """The two terms of the gradient a PGD step follows: Phi(rho) and E."""
+    return sum_channel(povm, state), empirical_operator(rec, povm)
+
+
 def test_gradient_zero_at_truth_with_population_record():
     povm = ProductPOVM.local_sic(3)
     rho = _mpdo(3, seed=11)
-    handle = wirtinger_gradient(rho, population_record(povm, rho), povm)
-    assert handle.norm() <= 1e-10
+    channel, emp = _gradient_parts(rho, population_record(povm, rho), povm)
+    assert tt_norm(tt_sub(channel, emp)) <= 1e-10
 
 
 def test_gradient_zero_for_mixed_state_uniform_record():
     povm = ProductPOVM.local_sic(2)
     mm = maximally_mixed(2)
-    handle = wirtinger_gradient(mm, population_record(povm, mm), povm)
-    assert handle.norm() <= 1e-10
+    channel, emp = _gradient_parts(mm, population_record(povm, mm), povm)
+    assert tt_norm(tt_sub(channel, emp)) <= 1e-10
 
 
 def test_gradient_finite_differences():
@@ -307,7 +310,8 @@ def test_gradient_finite_differences():
     rho = _mpdo(2, seed=12)
     rec = sample_enumerate(povm, rho, 3000, seed=13)
     state = _mpdo(2, seed=14)
-    grad = wirtinger_gradient(state, rec, povm).to_dense().matrix
+    channel, emp = _gradient_parts(state, rec, povm)
+    grad = tt_to_dense(channel).matrix - tt_to_dense(emp).matrix
     dm = tt_to_dense(state).matrix
     rng = np.random.default_rng(15)
     eps = 1e-5
@@ -321,14 +325,10 @@ def test_gradient_finite_differences():
 
 
 def test_gradient_structured_terms():
+    # the channel term keeps the iterate's ranks
     povm = ProductPOVM.local_sic(2)
-    rho = _mpdo(2, seed=16)
-    rec = sample_enumerate(povm, rho, 50, seed=17)
     state = _mpdo(2, seed=18)
-    handle = wirtinger_gradient(state, rec, povm)
-    assert handle.channel.ranks == state.ranks
-    assert len(handle.terms) == len(rec.counts)
-    assert len(handle.terms) <= min(rec.m_shots, povm.k_total)
+    assert sum_channel(povm, state).ranks == state.ranks
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +667,22 @@ def test_pgd_divergence_reports_iteration():
         pgd(rec, povm, config)
 
 
+@pytest.mark.parametrize("runner,backend,unit", [
+    (pgd, "tt", "iteration 2"), (pgd, "dense", "iteration 2"),
+    (psgd, "tt", "epoch 2")])
+def test_divergence_names_the_outer_step_on_every_path(runner, backend,
+                                                        unit):
+    # the failed decomposition of an overflowing step becomes a
+    # NumericalError on every backend and algorithm
+    povm = ProductPOVM.local_sic(2)
+    rec = sample_enumerate(povm, _mpdo(2, seed=46), 1000, seed=47)
+    config = EstimatorConfig(ranks=4, init="random", init_seed=48,
+                             max_iters=50, max_epochs=50, mu0=1e300,
+                             lam=1.0, backend=backend)
+    with pytest.raises(NumericalError, match=f"at {unit} "):
+        runner(rec, povm, config)
+
+
 def test_psgd_degenerate_batching_equals_pgd():
     povm = ProductPOVM.local_sic(2)
     rho = _mpdo(2, seed=1)
@@ -793,11 +809,6 @@ def test_preset_lookup():
     assert preset_schedule("psgd", "spectral", 4)["scale_2n"] is False
 
 
-def test_gamma_t_factor():
-    assert gamma_t_factor(3.5, 2) == 3.5
-    assert gamma_t_factor(3.5, 3) == 1.0
-
-
 def test_admissible_step_interval_shape():
     lo, hi = admissible_step_interval(n=3, d=2, k_total=64, sigma_min=0.3,
                                       init_error=1e-5)
@@ -819,6 +830,27 @@ def test_config_validation():
         EstimatorConfig(backend="gpu")
     config = EstimatorConfig(ranks=7)
     assert config.rank_vector(3, 2) == (4, 4)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("max_iters", 2.5), ("max_iters", -1), ("max_iters", True),
+    ("max_epochs", 1.0), ("batch_size", 2.5), ("batch_size", 0),
+    ("epoch_size", 0), ("epoch_size", "8"), ("plateau_window", 0),
+    ("init_seed", -1), ("init_seed", None), ("mu0", "1"), ("lam", True),
+    ("plateau_rel_tol", None), ("tt_round_tol", [1e-3]), ("ranks", 0),
+    ("ranks", True), ("ranks", 2.5), ("ranks", [4, "4"]), ("mu0", -1.0),
+    ("mu0", 0), ("mu0", float("inf")), ("mu0", float("nan")),
+    ("scale_2n", 1), ("record_trace", None), ("check_iterates", "no")])
+def test_config_rejects_malformed_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        EstimatorConfig(**{field: value})
+
+
+def test_config_accepts_numpy_scalars_and_optional_none():
+    config = EstimatorConfig(max_iters=np.int64(3), init_seed=np.uint64(5),
+                             mu0=np.float64(0.5), ranks=(np.int32(2), 3),
+                             epoch_size=None, tt_round_tol=None)
+    assert config.rank_vector(3, 2) == (2, 3)
 
 
 def test_tt_round_tol_compresses_iterates():

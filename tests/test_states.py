@@ -9,7 +9,6 @@ from mpoqst.states import (
     MPDOGenConfig,
     ghz_density,
     maximally_mixed,
-    mpo_trace_chain,
     pure_product,
     purity,
     random_mpdo,
@@ -54,7 +53,7 @@ def test_trace_chain_matches_dense_before_normalization():
     for seed in range(10):
         config = MPDOGenConfig(n=3, kappa=2, purity=4, seed=seed)
         raw = _draw_mpdo(config, seed)
-        chain = mpo_trace_chain(raw)
+        chain = tt_trace(raw)
         dense = np.trace(tt_to_dense(raw).matrix)
         assert abs(chain - dense) <= 1e-10 * abs(dense)
 
