@@ -6,19 +6,21 @@ conjugate-coordinate (Wirtinger) gradient
 
     grad g(rho) = sum_k (<A_k, rho> - p_hat_k) A_k
 
-and projects back by TT rounding to the target ranks, Hermitian
-symmetrization, and trace normalization rho / trace(rho).
+and projects back by TT rounding to the target ranks and trace
+normalization rho / trace(rho).
+
+Every operator on that path (the iterate, both gradient terms, each PSGD
+batch gradient) is Hermitian, so a real TT of the same ranks in a real
+orthonormal basis of the Hermitian d x d matrices (tt.hermitian_basis).
+The estimator runs in those float64 coordinates, Hermitian by
+construction; fused operators enter as their Hermitian part.
 
 The gradient splits into an iteration-dependent channel term
 sum_k <A_k, rho> A_k (a site-local superoperator, rank-preserving) and a
 data term E = sum_k p_hat_k A_k that is fixed for a given record.  E is
 assembled once as an exact MPO whose bond bases are the distinct observed
 outcome prefixes/suffixes, so its bond R grows with the number of
-distinct outcomes, and it is right-orthogonalized once per run.  Since
-p_hat is real and every A_k Hermitian, E's cores are real in a real
-orthonormal basis of the Hermitian d x d matrices (tt.hermitian_basis):
-``empirical_operator`` builds and orthogonalizes them in float64 and maps
-the physical legs back to the fused basis once at the end.  Each step
+distinct outcomes, and it is right-orthogonalized once per run.  Each step
 rounds rho - mu Phi(rho) + mu E with ``tt_round_sum``: only the rank-2r
 part is orthogonalized against E's fixed orthonormal rows, which costs
 O(n d^2 r R^2) per step instead of the O(n d^2 R^3) of rounding the whole
@@ -61,7 +63,6 @@ from .tt import (
     is_hermitian,
     max_tt_ranks,
     tt_add,
-    tt_adjoint,
     tt_from_dense,
     tt_from_hermitian_coordinates,
     tt_inner,
@@ -71,6 +72,7 @@ from .tt import (
     tt_scale,
     tt_sub,
     tt_to_dense,
+    tt_to_hermitian_coordinates,
     tt_trace,
     tt_zeros,
 )
@@ -269,43 +271,47 @@ def _trie_cores(outcomes, weights, povm: ProductPOVM, local: list) -> list:
     return cores
 
 
-def _over_caps(cores: list, povm: ProductPOVM) -> bool:
-    """Whether a bond exceeds its structural cap, possible only when
-    k_loc > d^2."""
-    caps = max_tt_ranks(povm.n, povm.d)
-    return any(c.shape[2] > cap for c, cap in zip(cores, caps))
-
-
-def outcome_sum_tt(outcomes, weights, povm: ProductPOVM) -> TTTensor:
+def outcome_sum_tt(outcomes, weights, povm: ProductPOVM,
+                   local=None) -> TTTensor:
     """Exact MPO for sum_k w_k B_{i_1(k)} x ... x B_{i_n(k)}, built on the
-    outcome prefix tree (see _trie_cores) and rounded to the structural
-    caps where a bond exceeds them."""
-    cores = _trie_cores(outcomes, weights, povm,
-                        [site.fused() for site in povm.sites])
-    out = TTTensor(tuple(cores), d=povm.d)
-    if _over_caps(cores, povm):
-        out = tt_round(out, truncation_tol=1e-15)
-    return out
+    outcome prefix tree (see _trie_cores).  ``local[l]`` holds site l's
+    element rows in the basis of the result's physical legs, by default
+    the fused() rows.  Bonds may pass the structural caps when
+    k_loc > d^2; tt_round cuts them."""
+    if local is None:
+        local = [site.fused() for site in povm.sites]
+    return TTTensor(tuple(_trie_cores(outcomes, weights, povm, local)),
+                    d=povm.d)
+
+
+def _empirical_coordinates(record, povm: ProductPOVM) -> TTTensor:
+    """E = sum_k p_hat_k A_k as a right-orthogonal real coordinate TT.
+
+    p_hat is real and every A_k Hermitian, so the prefix-tree cores are
+    built in the real coordinates of tt.hermitian_basis and orthogonalized
+    in float64.  A bond over its structural cap (k_loc > d^2) is first cut
+    down by a left-to-right QR sweep."""
+    cores = _trie_cores(record.outcomes, record.p_hat, povm,
+                        [site.hermitian_coordinates() for site in povm.sites])
+    dd = povm.d * povm.d
+    if any(c.shape[2] > cap
+           for c, cap in zip(cores, max_tt_ranks(povm.n, povm.d))):
+        _orthogonalize_left(cores, dd)
+    _orthogonalize_right(cores, dd)
+    return TTTensor(tuple(cores), d=povm.d)
+
+
+def _fused(x: TTTensor) -> TTTensor:
+    """The fused operator of a coordinate TT."""
+    return tt_from_hermitian_coordinates(x.cores, x.d)
 
 
 def empirical_operator(record, povm: ProductPOVM) -> TTTensor:
     """The adjoint-map image E = sum_k p_hat_k A_k of the recorded
     weights, returned right-orthogonal: cores 2..n have orthonormal rows,
-    as tt_right_orthogonalize gives them.
-
-    p_hat is real and every A_k Hermitian, so the prefix-tree cores are
-    built in the real coordinates of tt.hermitian_basis and orthogonalized
-    in float64; only then is each physical leg mapped back to the fused
-    basis.  A bond over its structural cap (k_loc > d^2) is first cut
-    down by a left-to-right QR sweep.  ValueError when a POVM element is
-    not Hermitian."""
-    coords = [site.hermitian_coordinates() for site in povm.sites]
-    cores = _trie_cores(record.outcomes, record.p_hat, povm, coords)
-    dd = povm.d * povm.d
-    if _over_caps(cores, povm):
-        _orthogonalize_left(cores, dd)
-    _orthogonalize_right(cores, dd)
-    return tt_from_hermitian_coordinates(cores, povm.d)
+    as tt_right_orthogonalize gives them.  ValueError when a POVM element
+    is not Hermitian."""
+    return _fused(_empirical_coordinates(record, povm))
 
 
 # ---------------------------------------------------------------------------
@@ -356,90 +362,93 @@ def loss_dense(state: DenseOperator, record, povm: ProductPOVM) -> float:
 
 
 def project_mpo(raw, ranks, d: int = 2, round_tol: float = None) -> TTTensor:
-    """Two-step projection onto unit-trace rank-constrained MPOs: TT
-    rounding to the target ranks, Hermitian symmetrization (to control
-    floating-point drift), then division by the trace.
+    """Projection onto unit-trace Hermitian MPOs of the given ranks: the
+    Hermitian part (raw + raw^dag)/2 in real coordinates, rounded once to
+    the target ranks, then divided by the trace; returned fused.  A dense
+    input (DenseOperator or array) is first decomposed at those ranks.
 
     An optional round_tol compresses further below the target ranks when
     the iterate allows it, trading a relative error of that size for
     smaller bonds.
     """
+    if isinstance(raw, np.ndarray):
+        raw = DenseOperator.from_matrix(raw, d=d)
     if isinstance(raw, DenseOperator):
-        tt = tt_from_dense(raw, target_ranks=cap_ranks(ranks, raw.n, raw.d))
-    elif isinstance(raw, np.ndarray):
-        dense = DenseOperator.from_matrix(raw, d=d)
-        tt = tt_from_dense(dense, target_ranks=cap_ranks(ranks, dense.n, dense.d))
+        raw = tt_from_dense(raw, target_ranks=cap_ranks(ranks, raw.n, raw.d))
+    return _fused(_project(tt_to_hermitian_coordinates(raw), ranks,
+                           round_tol))
+
+
+def _project(x: TTTensor, ranks, round_tol: float = None,
+             data: TTTensor = None) -> TTTensor:
+    """project_mpo in coordinates, of x plus the right-orthogonal
+    ``data`` when given (tt_round_sum keeps its orthonormal rows).  The
+    trace chains the sums of the diagonal-unit coordinates, which
+    hermitian_basis lists first."""
+    capped = cap_ranks(ranks, x.n, x.d)
+    if data is None:
+        x = tt_round(x, target_ranks=capped)
     else:
-        tt = tt_round(raw, target_ranks=cap_ranks(ranks, raw.n, raw.d))
-    return _symmetrize_normalize(tt, ranks, round_tol)
-
-
-def _project_with_data(a: TTTensor, empirical: TTTensor, coeff: float,
-                       ranks, round_tol: float = None) -> TTTensor:
-    """project_mpo(a + coeff * empirical) for a right-orthogonal
-    empirical operator: the rank rounding keeps its orthonormal rows
-    (tt_round_sum) instead of orthogonalizing the whole sum again."""
-    tt = tt_round_sum(a, tt_scale(empirical, coeff),
-                      target_ranks=cap_ranks(ranks, a.n, a.d))
-    return _symmetrize_normalize(tt, ranks, round_tol)
-
-
-def _symmetrize_normalize(tt: TTTensor, ranks, round_tol) -> TTTensor:
-    """The steps of project_mpo after the rank rounding."""
-    if round_tol is not None and tt.n > 1:
-        tt = tt_round(tt, truncation_tol=round_tol)
-    capped = cap_ranks(ranks, tt.n, tt.d)
-    sym = tt_scale(tt_add(tt, tt_adjoint(tt)), 0.5)
-    if tt.n > 1:
-        sym = tt_round(sym, target_ranks=capped)
-    tr = tt_trace(sym)
+        x = tt_round_sum(x, data, target_ranks=capped)
+    if round_tol is not None and x.n > 1:
+        x = tt_round(x, truncation_tol=round_tol)
+    v = np.ones((1, 1))
+    for core in x.cores:
+        v = v @ core[:, :x.d, :].sum(axis=1)
+    tr = v[0, 0]
     if abs(tr) < TRACE_FLOOR:
         raise NumericalError(
             f"trace {abs(tr):.3e} below {TRACE_FLOOR}; normalization "
             "is degenerate")
-    return tt_scale(sym, 1.0 / tr)
+    return tt_scale(x, 1.0 / tr)
 
 
 # ---------------------------------------------------------------------------
 # initialization
 
 
-def spectral_init(record, povm: ProductPOVM, ranks,
-                  empirical: TTTensor = None) -> TTTensor:
+def spectral_init(record, povm: ProductPOVM, ranks) -> TTTensor:
     """Project the rescaled adjoint map K (d^n + 1) / d^n sum p_hat_k A_k
-    of the empirical probabilities onto the constraint set.
+    of the empirical probabilities onto the constraint set."""
+    config = EstimatorConfig(init="spectral")
+    return _fused(_initial_state(record, povm, config, ranks))
 
-    ``empirical``, if given, is the record's empirical operator as
-    empirical_operator returns it: right-orthogonal, which makes the
-    rounding cheap."""
-    if not record.weights():
-        raise ValueError("record is empty")
-    if empirical is None:
-        empirical = empirical_operator(record, povm)
-    n, d = povm.n, povm.d
-    scale = povm.k_total * (d ** n + 1) / d ** n
-    return _project_with_data(tt_zeros(n, d), empirical, scale, ranks)
+
+def _random_mpdo(ranks, n: int, d: int, seed: int) -> TTTensor:
+    """The random PSD MPO with Kraus bond ceil(sqrt(rbar)) that the
+    random start projects."""
+    max_rank = int(np.max(np.atleast_1d(ranks)))
+    kappa = int(np.ceil(np.sqrt(max_rank)))
+    return random_mpdo(MPDOGenConfig(n=n, kappa=kappa, purity=10,
+                                     seed=seed, d=d))
 
 
 def random_init(ranks, n: int, d: int, seed: int) -> TTTensor:
     """Random mixed-state start: a random PSD MPO with Kraus bond
     ceil(sqrt(rbar)), projected to the requested ranks."""
-    max_rank = int(np.max(np.atleast_1d(ranks)))
-    kappa = int(np.ceil(np.sqrt(max_rank)))
-    state = random_mpdo(MPDOGenConfig(n=n, kappa=kappa, purity=10,
-                                      seed=seed, d=d))
-    return project_mpo(state, ranks)
+    return project_mpo(_random_mpdo(ranks, n, d, seed), ranks)
 
 
 def _initial_state(record, povm, config: EstimatorConfig, ranks,
                    empirical: TTTensor = None) -> TTTensor:
+    """The start in coordinates; ``empirical``, if given, is the record's
+    _empirical_coordinates."""
+    if config.init == "spectral":
+        if not record.weights():
+            raise ValueError("record is empty")
+        if empirical is None:
+            empirical = _empirical_coordinates(record, povm)
+        n, d = povm.n, povm.d
+        scale = povm.k_total * (d ** n + 1) / d ** n
+        return _project(tt_zeros(n, d), ranks,
+                        data=tt_scale(empirical, scale))
     if config.init == "provided":
         if config.init_state is None:
             raise ValueError("init='provided' requires init_state")
-        return project_mpo(config.init_state, ranks)
-    if config.init == "spectral":
-        return spectral_init(record, povm, ranks, empirical)
-    return random_init(ranks, povm.n, povm.d, config.init_seed)
+        raw = config.init_state
+    else:
+        raw = _random_mpdo(ranks, povm.n, povm.d, config.init_seed)
+    return _project(tt_to_hermitian_coordinates(raw), ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +517,8 @@ def _check_iterate(state: TTTensor):
 
 
 def _log_row(log, iteration, loss_val, state, truth, step, t0):
-    err = recovery_error(state, truth) if truth is not None else float("nan")
+    err = (recovery_error(_fused(state), truth) if truth is not None
+           else float("nan"))
     log.append(IterateStats(iteration=iteration, loss=loss_val, error=err,
                             step=step,
                             wall_ms=(time.perf_counter() - t0) * 1e3))
@@ -527,6 +537,9 @@ def _descend(record, povm: ProductPOVM, config: EstimatorConfig, truth,
     budget (max_iters, for PSGD max_epochs) or a loss plateau.  A failed
     decomposition or a non-finite loss raises NumericalError naming the
     outer step (iteration or epoch) and its step size.
+
+    Iterates are coordinate TTs; the checks, the rows' error and the
+    returned state see their fused map-back.
 
     The loss of each outer step's last iterate is taken before the next
     step starts, so a step may reuse what loss_of computed for its start
@@ -551,7 +564,7 @@ def _descend(record, povm: ProductPOVM, config: EstimatorConfig, truth,
             for state in step(state, k, mu):
                 iterations += 1
                 if config.check_iterates:
-                    _check_iterate(state)
+                    _check_iterate(_fused(state))
             cur_loss = loss_of(state)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
@@ -567,7 +580,8 @@ def _descend(record, povm: ProductPOVM, config: EstimatorConfig, truth,
         if _plateaued(losses, config.plateau_window, config.plateau_rel_tol):
             reason = "loss_plateau"
             break
-    return Estimate(state=state, trace_log=log, iterations_run=iterations,
+    return Estimate(state=_fused(state), trace_log=log,
+                    iterations_run=iterations,
                     converged_reason=reason,
                     metadata={"algorithm": algorithm,
                               "backend": config.backend,
@@ -590,20 +604,21 @@ def _tt_pgd(record, povm, config, ranks):
     """PGD on MPOs: E once, then each step rounds rho - mu Phi(rho) + mu E
     against E's orthonormal rows.  The loss and the next step share one
     sum_channel per iterate."""
-    emp = empirical_operator(record, povm)
+    emp = _empirical_coordinates(record, povm)
+    local = [site.hermitian_coordinates() for site in povm.sites]
     state = _initial_state(record, povm, config, ranks, emp)
     weight_sq = _weight_sq(record)
     channel = None
 
     def loss_of(rho):
         nonlocal channel
-        channel = sum_channel(povm, rho)
+        channel = sum_channel(povm, rho, local)
         return _loss_from_parts(rho, channel, tt_inner(rho, emp).real,
                                 weight_sq)
 
     def step(rho, k, mu):
-        yield _project_with_data(tt_add(rho, tt_scale(channel, -mu)), emp,
-                                 mu, ranks, round_tol=config.tt_round_tol)
+        yield _project(tt_add(rho, tt_scale(channel, -mu)), ranks,
+                       config.tt_round_tol, data=tt_scale(emp, mu))
 
     return state, loss_of, step, {}
 
@@ -621,14 +636,16 @@ def _dense_pgd(record, povm, config, ranks):
 
     def loss_of(rho):
         nonlocal dense, probs
-        dense = tt_to_dense(rho).matrix
+        dense = tt_to_dense(_fused(rho)).matrix
         probs = np.einsum("kij,ij->k", elements.conj(), dense).real
         return float(((probs - p_hat) ** 2).sum())
 
     def step(rho, k, mu):
         grad = np.einsum("k,kij->ij", probs - p_hat, elements)
-        yield project_mpo(DenseOperator.from_matrix(dense - mu * grad, d=d),
-                          ranks)
+        raw = tt_from_dense(DenseOperator(dense - mu * grad, n=n, d=d),
+                            target_ranks=ranks)
+        yield _project(tt_to_hermitian_coordinates(raw), ranks,
+                       config.tt_round_tol)
 
     return state, loss_of, step, {}
 
@@ -704,13 +721,14 @@ def _psgd(record, povm, config, ranks):
         n_epoch = min(max(10 * d * d * n * max_rank ** 2, n_obs),
                       povm.k_total)
     batch = min(config.batch_size, n_epoch)
+    local = [site.hermitian_coordinates() for site in povm.sites]
     state = _initial_state(record, povm, config, ranks)
     weight_sq = _weight_sq(record)
 
     def loss_of(rho):
         # cross term <E, rho> = sum_k p_hat_k <A_k, rho> over the record
-        cross = float(p_obs @ outcome_amplitudes(povm, rho, observed).real)
-        return _loss_from_parts(rho, sum_channel(povm, rho), cross,
+        cross = float(p_obs @ outcome_amplitudes(povm, rho, observed, local))
+        return _loss_from_parts(rho, sum_channel(povm, rho, local), cross,
                                 weight_sq)
 
     def step(rho, epoch, mu):
@@ -725,11 +743,11 @@ def _psgd(record, povm, config, ranks):
             if not len(pick):
                 return
             chosen = subset[pick]
-            coeffs = (outcome_amplitudes(povm, rho, chosen).real
+            coeffs = (outcome_amplitudes(povm, rho, chosen, local)
                       - subset_p[pick])
-            grad_tt = outcome_sum_tt(chosen, coeffs, povm)
-            rho = project_mpo(tt_add(rho, tt_scale(grad_tt, -mu)), ranks,
-                              round_tol=config.tt_round_tol)
+            grad = outcome_sum_tt(chosen, coeffs, povm, local)
+            rho = _project(tt_add(rho, tt_scale(grad, -mu)), ranks,
+                           config.tt_round_tol)
             yield rho
 
     return state, loss_of, step, {"epoch_size": n_epoch, "batch_size": batch}

@@ -491,16 +491,18 @@ def measure_map_dense(povm, state: DenseOperator) -> np.ndarray:
     return _real_with_residue_check(acc.reshape(-1))
 
 
-def _site_transfers(povm: ProductPOVM, state: TTTensor) -> list:
+def _site_transfers(povm: ProductPOVM, state: TTTensor, local=None) -> list:
     """Per site, the stack of outcome transfer matrices
     E_i = sum_s conj(b_i(s)) core[:, s, :], shape (k_loc, r_l-1, r_l).
-    ValueError when the POVM and the state differ in n or d."""
+    ``local[l]`` holds site l's element rows b_i in the basis of the
+    state's physical legs, by default the fused() rows.  ValueError when
+    the POVM and the state differ in n or d."""
     if povm.n != state.n or povm.d != state.d:
         raise ValueError("POVM and state shapes do not match")
-    out = []
-    for site, core in zip(povm.sites, state.cores):
-        out.append(np.tensordot(site.fused().conj(), core, axes=[[1], [1]]))
-    return out
+    if local is None:
+        local = [site.fused() for site in povm.sites]
+    return [np.tensordot(rows.conj(), core, axes=[[1], [1]])
+            for rows, core in zip(local, state.cores)]
 
 
 def _right_environments(transfers: list) -> list:
@@ -549,15 +551,15 @@ def _outcome_indices(povm: ProductPOVM, outcomes) -> np.ndarray:
     return rows.astype(np.intp) - 1
 
 
-def outcome_amplitudes(povm: ProductPOVM, state: TTTensor,
-                       outcomes) -> np.ndarray:
+def outcome_amplitudes(povm: ProductPOVM, state: TTTensor, outcomes,
+                       local=None) -> np.ndarray:
     """Raw <A_k, state> for a (B, n) batch of 1-based outcomes, as a (B,)
-    complex vector (no clamping; may be negative or complex-residued for
+    vector (no clamping; may be negative or complex-residued for
     non-Hermitian iterates).  One left-to-right contraction through the
-    sampler's per-site transfer stacks, O(B n d^2 r^2)."""
+    _site_transfers stacks (``local`` as there), O(B n d^2 r^2)."""
     idx = _outcome_indices(povm, outcomes)
-    v = np.ones((len(idx), 1), dtype=complex)
-    for l, trans in enumerate(_site_transfers(povm, state)):
+    v = np.ones((len(idx), 1))
+    for l, trans in enumerate(_site_transfers(povm, state, local)):
         v = np.einsum("br,brs->bs", v, trans[idx[:, l]])
     return v[:, 0]
 
@@ -660,16 +662,17 @@ def gamma(povm: ProductPOVM, state: TTTensor, method: str = "exhaustive",
 # measurement-and-adjoint channel
 
 
-def sum_channel(povm: ProductPOVM, state: TTTensor) -> TTTensor:
+def sum_channel(povm: ProductPOVM, state: TTTensor, local=None) -> TTTensor:
     """The operator sum_k <A_k, rho> A_k, computed without enumerating
     outcomes: the sum factorizes into per-site superoperators
     S[s', s] = sum_i b_i(s') conj(b_i(s)) applied to each physical index.
-    Output ranks equal input ranks."""
+    ``local`` as in _site_transfers.  Output ranks equal input ranks."""
     if povm.n != state.n or povm.d != state.d:
         raise ValueError("POVM and state shapes do not match")
+    if local is None:
+        local = [site.fused() for site in povm.sites]
     cores = []
-    for site, core in zip(povm.sites, state.cores):
-        bmat = site.fused()  # (k_loc, d*d)
+    for bmat, core in zip(local, state.cores):  # bmat: (k_loc, d*d)
         smat = bmat.T @ bmat.conj()  # (d*d, d*d)
         cores.append(np.einsum("ts,rsq->rtq", smat, core))
     return TTTensor(tuple(cores), d=state.d)

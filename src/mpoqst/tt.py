@@ -70,7 +70,8 @@ def hermitian_basis(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TTTensor:
-    """Tensor-train operator: cores[l] has shape (r_{l-1}, d*d, r_l)."""
+    """Tensor-train operator: cores[l] has shape (r_{l-1}, d*d, r_l).
+    Real cores are kept as float64, complex ones as complex128."""
 
     cores: tuple
     d: int = 2
@@ -80,7 +81,8 @@ class TTTensor:
             raise ValueError(f"local dimension must be >= 2, got {self.d}")
         if not self.cores:
             raise ValueError("need at least one core")
-        cores = tuple(np.ascontiguousarray(c, dtype=complex) for c in self.cores)
+        cores = tuple(np.ascontiguousarray(c, dtype=np.result_type(c, float))
+                      for c in map(np.asarray, self.cores))
         dd = self.d * self.d
         for l, c in enumerate(cores):
             if c.ndim != 3 or c.shape[1] != dd:
@@ -195,8 +197,7 @@ def unfuse_tensor_to_dense(tensor: np.ndarray, n: int, d: int) -> np.ndarray:
 
 def tt_zeros(n: int, d: int = 2) -> TTTensor:
     """The zero operator on n sites, with all bond dimensions 1."""
-    return TTTensor(tuple(np.zeros((1, d * d, 1), dtype=complex)
-                          for _ in range(n)), d=d)
+    return TTTensor(tuple(np.zeros((1, d * d, 1)) for _ in range(n)), d=d)
 
 
 def _choose_rank(s: np.ndarray, cap, per_cut_budget):
@@ -219,30 +220,6 @@ def _choose_rank(s: np.ndarray, cap, per_cut_budget):
     return max(1, r)
 
 
-def _tt_svd_sweep(tensor: np.ndarray, n: int, d: int, target_ranks,
-                  truncation_tol) -> list:
-    """Left-to-right truncated-SVD sweep over the fused tensor."""
-    dd = d * d
-    fro = float(np.linalg.norm(tensor))
-    if fro <= ZERO_NORM_TOL:
-        return [np.zeros((1, dd, 1), dtype=complex) for _ in range(n)]
-    per_cut = None
-    if truncation_tol is not None:
-        per_cut = truncation_tol * fro / np.sqrt(max(n - 1, 1))
-    cores = []
-    r_prev = 1
-    c = tensor.reshape(dd, -1)
-    for l in range(n - 1):
-        u, s, vt = np.linalg.svd(c, full_matrices=False)
-        cap = target_ranks[l] if target_ranks is not None else None
-        r = _choose_rank(s, cap, per_cut)
-        cores.append(u[:, :r].reshape(r_prev, dd, r))
-        c = (s[:r, None] * vt[:r]).reshape(r * dd, -1)
-        r_prev = r
-    cores.append(c.reshape(r_prev, dd, 1))
-    return cores
-
-
 def tt_from_dense(dense, target_ranks=None, truncation_tol=None, d: int = 2,
                   n_dense: int = N_DENSE_MAX) -> TTTensor:
     """Sequential truncated-SVD decomposition of a dense operator.
@@ -262,9 +239,11 @@ def tt_from_dense(dense, target_ranks=None, truncation_tol=None, d: int = 2,
         raise ValueError(f"n={n} exceeds dense cap {n_dense}")
     if target_ranks is not None:
         target_ranks = _validate_ranks(target_ranks, n, d)
+    dd = d * d
     tensor = fuse_dense_to_tensor(matrix, n, d)
-    return TTTensor(tuple(_tt_svd_sweep(tensor, n, d, target_ranks,
-                                        truncation_tol)), d=d)
+    return _truncate_left_to_right(tensor.reshape(1, dd, -1),
+                                   lambda l, c: c.reshape(len(c), dd, -1),
+                                   n, d, target_ranks, truncation_tol)
 
 
 def tt_to_dense(tt: TTTensor, n_dense: int = N_DENSE_MAX) -> DenseOperator:
@@ -304,7 +283,7 @@ def tt_inner(a: TTTensor, b: TTTensor) -> complex:
     Costs O(n d^2 r_a r_b (r_a + r_b)); never materializes dense operators.
     """
     _check_compatible(a, b)
-    env = np.ones((1, 1), dtype=complex)  # (r_a, r_b)
+    env = np.ones((1, 1))  # (r_a, r_b)
     for ca, cb in zip(a.cores, b.cores):
         tmp = np.tensordot(env, ca.conj(), axes=[[0], [0]])  # (r_b, dd, r_a')
         env = np.tensordot(tmp, cb, axes=[[0, 1], [0, 1]])   # (r_a', r_b')
@@ -319,20 +298,9 @@ def tt_norm(a: TTTensor) -> float:
     block-structured sums (a - a, rounding residuals) come out at the
     true scale instead of drowning in cancellation noise.
     """
-    n, d = a.n, a.d
-    dd = d * d
-    if n == 1:
-        return float(np.linalg.norm(a.cores[0]))
-    carry = None
-    for l in range(n - 1, 0, -1):
-        core = a.cores[l]
-        if carry is not None:
-            core = np.tensordot(core, carry, axes=[[2], [0]])
-        r0 = core.shape[0]
-        _, rmat = np.linalg.qr(core.reshape(r0, -1).T)
-        carry = rmat.T  # (r0, k)
-    first = np.tensordot(a.cores[0], carry, axes=[[2], [0]])
-    return float(np.linalg.norm(first))
+    cores = list(a.cores)
+    _orthogonalize_right(cores, a.d * a.d)
+    return float(np.linalg.norm(cores[0]))
 
 
 def tt_trace(a: TTTensor) -> complex:
@@ -365,7 +333,8 @@ def tt_add(a: TTTensor, b: TTTensor) -> TTTensor:
         else:
             ra0, _, ra1 = ca.shape
             rb0, _, rb1 = cb.shape
-            block = np.zeros((ra0 + rb0, dd, ra1 + rb1), dtype=complex)
+            block = np.zeros((ra0 + rb0, dd, ra1 + rb1),
+                             dtype=np.result_type(ca, cb))
             block[:ra0, :, :ra1] = ca
             block[ra0:, :, ra1:] = cb
             cores.append(block)
@@ -411,16 +380,26 @@ def _orthogonalize_left(cores: list, dd: int) -> None:
 def tt_from_hermitian_coordinates(cores, d: int) -> TTTensor:
     """The TTTensor of real cores (r, d*d, r') whose physical leg holds
     coordinates in :func:`hermitian_basis`: each core's leg is mapped
-    back by U, as two real products with U.real and U.imag."""
-    u = hermitian_basis(d)
-    re_t, im_t = u.real.T.copy(), u.imag.T.copy()
-    out = []
-    for core in cores:
-        fused = np.empty(core.shape, dtype=complex)
-        fused.real = re_t @ core  # (dd, dd) @ (r, dd, r'), batched over r
-        fused.imag = im_t @ core
-        out.append(fused)
-    return TTTensor(tuple(out), d=d)
+    back by U."""
+    u_t = hermitian_basis(d).T
+    return TTTensor(tuple(u_t @ core for core in cores), d=d)
+
+
+def tt_to_hermitian_coordinates(a: TTTensor) -> TTTensor:
+    """The real TT, in :func:`hermitian_basis` coordinates, of the
+    Hermitian part (A + A^dag)/2 at twice the ranks of A: its coordinates
+    are the real parts of A's.  Each complex coordinate core X + iY
+    becomes [[X, -Y], [Y, X]], which multiply as the complex cores do; the
+    first core keeps the top block row and the last the left block column.
+    For a Hermitian A a real tt_round returns to A's ranks exactly."""
+    u_conj = hermitian_basis(a.d).conj()
+    cores = []
+    for l, core in enumerate(a.cores):
+        c = np.tensordot(u_conj, core, axes=[[1], [1]])  # (dd, r, r')
+        block = np.block([[c.real, -c.imag], [c.imag, c.real]])
+        block = block[:, :1 if l == 0 else None, :1 if l == a.n - 1 else None]
+        cores.append(block.transpose(1, 0, 2))
+    return TTTensor(tuple(cores), d=a.d)
 
 
 def _truncate_left_to_right(first, absorb, n: int, d: int, target_ranks,
@@ -522,7 +501,7 @@ def tt_round_sum(a: TTTensor, b: TTTensor, target_ranks=None,
         width = rb[l + 1] + k[l + 1]
         on_q = acore[:, :, :rb[l + 1]].reshape(ra, -1)
         coef = (on_q.conj() @ qs[l].T).conj()  # A Q^H, conjugating A only
-        resid = acore.copy()
+        resid = acore.astype(coef.dtype)
         resid[:, :, :rb[l + 1]] -= (coef @ qs[l]).reshape(ra, dd, rb[l + 1])
         # The residual lies in the complement of Q's rb_l rows, so it
         # adds at most dd * width - rb_l new rows.

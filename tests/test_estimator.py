@@ -1,12 +1,14 @@
 """Least-squares estimator: loss, gradient, projections, descent loops."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from mpoqst import estimator
 from mpoqst.estimator import (
     STEP_PRESETS,
     EstimatorConfig,
-    _project_with_data,
     _trie_cores,
     _zero_outcome_filler,
     admissible_init_radius,
@@ -30,6 +32,7 @@ from mpoqst.povm import (
     ProductPOVM,
     dense_from_product,
     iter_outcomes,
+    outcome_amplitudes,
     sic_qubit,
     sum_channel,
     wh_sic_from_fiducial,
@@ -44,13 +47,18 @@ from mpoqst.states import MPDOGenConfig, maximally_mixed, random_mpdo
 from mpoqst.tt import (
     DenseOperator,
     NumericalError,
+    cap_ranks,
     hermitian_basis,
     is_hermitian,
+    max_tt_ranks,
     random_tt,
     tt_add,
+    tt_adjoint,
     tt_inner,
     tt_norm,
     tt_right_orthogonalize,
+    tt_round,
+    tt_round_sum,
     tt_scale,
     tt_sub,
     tt_to_dense,
@@ -209,13 +217,23 @@ def _povm_and_record(kind, n):
     return povm, sample_sequential(povm, rho, 3000, seed=91 + n)
 
 
+def _complex_outcome_sum(outcomes, weights, povm):
+    """outcome_sum_tt as the fused complex path used it: complex
+    prefix-tree cores, bonds over the structural caps rounded away."""
+    out = outcome_sum_tt(outcomes, weights, povm)
+    if any(r > c for r, c in zip(out.ranks[1:-1],
+                                 max_tt_ranks(povm.n, povm.d))):
+        out = tt_round(out, truncation_tol=1e-15)
+    return out
+
+
 def _complex_empirical_operator(record, povm):
     """E as it was built before the real-coordinate path: complex
     prefix-tree cores, then tt_right_orthogonalize."""
     weights = record.weights()
     outcomes = sorted(weights)
-    return tt_right_orthogonalize(
-        outcome_sum_tt(outcomes, [weights[o] for o in outcomes], povm))
+    return tt_right_orthogonalize(_complex_outcome_sum(
+        outcomes, [weights[o] for o in outcomes], povm))
 
 
 @pytest.mark.parametrize("kind, n", [
@@ -625,23 +643,159 @@ def test_pgd_iterates_match_whole_sum_rounding(case):
                 <= 1e-10 * tt_norm(want[k])), f"iterate {k}"
 
 
-def test_pgd_iterates_match_complex_data_operator():
-    # the loop pgd ran with E built from complex cores
-    rec, povm, config = _spectral_n8_case()
+def _complex_project(a, ranks, data=None):
+    """The projection as the estimator ran it on fused complex MPOs:
+    round to the ranks (against a right-orthogonal ``data`` when given),
+    add the adjoint, round again, divide by the trace."""
+    capped = cap_ranks(ranks, a.n, a.d)
+    if data is None:
+        a = tt_round(a, target_ranks=capped)
+    else:
+        a = tt_round_sum(a, data, target_ranks=capped)
+    sym = tt_scale(tt_add(a, tt_adjoint(a)), 0.5)
+    if a.n > 1:
+        sym = tt_round(sym, target_ranks=capped)
+    return tt_scale(sym, 1.0 / tt_trace(sym))
+
+
+def _complex_pgd_iterates(record, povm, config):
+    """PGD's start and iterates as the fused complex path computed them,
+    with E built from complex cores."""
     n, d = povm.n, povm.d
     ranks = config.rank_vector(n, d)
-    emp = _complex_empirical_operator(rec, povm)
-    scale = povm.k_total * (d ** n + 1) / d ** n
-    want = [_project_with_data(tt_zeros(n, d), emp, scale, ranks)]
+    emp = _complex_empirical_operator(record, povm)
+    if config.init == "spectral":
+        scale = povm.k_total * (d ** n + 1) / d ** n
+        state = _complex_project(tt_zeros(n, d), ranks,
+                                 tt_scale(emp, scale))
+    else:
+        state = _complex_project(config.init_state, ranks)
+    iterates = [state]
     for tau in range(config.max_iters):
         mu = config.mu0 * config.lam ** tau * 2.0 ** n
-        acc = tt_add(want[-1], tt_scale(sum_channel(povm, want[-1]), -mu))
-        want.append(_project_with_data(acc, emp, mu, ranks))
-    for k in range(len(want)):
-        config.max_iters = k
-        got = pgd(rec, povm, config).state
-        assert (tt_norm(tt_sub(got, want[k]))
-                <= 1e-10 * tt_norm(want[k])), f"iterate {k}"
+        acc = tt_add(state, tt_scale(sum_channel(povm, state), -mu))
+        state = _complex_project(acc, ranks, tt_scale(emp, mu))
+        iterates.append(state)
+    return iterates
+
+
+def _complex_psgd_iterates(record, povm, config, n_epoch, batch):
+    """PSGD's random start and per-batch iterates as the fused complex
+    path computed them: fused batch amplitudes and batch gradients."""
+    n, d = povm.n, povm.d
+    ranks = config.rank_vector(n, d)
+    kappa = int(np.ceil(np.sqrt(max(ranks))))
+    start = random_mpdo(MPDOGenConfig(n=n, kappa=kappa, purity=10,
+                                      seed=config.init_seed, d=d))
+    state = _complex_project(start, ranks)
+    iterates = [state]
+    observed, p_obs = record.outcomes, record.p_hat
+    for epoch in range(config.max_epochs):
+        mu = config.mu0 * config.lam ** epoch * 2.0 ** n
+        rng = np.random.Generator(np.random.Philox(
+            key=((int(config.init_seed) << 64) + 0xE0C + epoch)))
+        filler = _zero_outcome_filler(povm, observed, n_epoch - len(p_obs),
+                                      rng)
+        subset = np.concatenate([observed, filler])
+        subset_p = np.concatenate([p_obs, np.zeros(len(filler))])
+        order = rng.permutation(len(subset))
+        for it in range(len(subset) // batch):
+            pick = order[it * batch:(it + 1) * batch]
+            coeffs = (outcome_amplitudes(povm, state, subset[pick]).real
+                      - subset_p[pick])
+            grad = _complex_outcome_sum(subset[pick], coeffs, povm)
+            state = _complex_project(tt_add(state, tt_scale(grad, -mu)),
+                                     ranks)
+            iterates.append(state)
+    return iterates
+
+
+def _run_iterates(runner, record, povm, config, monkeypatch):
+    """A run's start and every iterate, as the fused map-backs that the
+    iterate checks see, and the run's metadata.  Asserts that every
+    coordinate iterate has float64 cores."""
+    to_fused = estimator._fused
+
+    def fused(x):
+        assert all(core.dtype == np.float64 for core in x.cores)
+        return to_fused(x)
+
+    seen = []
+    monkeypatch.setattr(estimator, "_fused", fused)
+    monkeypatch.setattr(estimator, "_check_iterate", seen.append)
+    start = runner(record, povm, dataclasses.replace(
+        config, max_iters=0, max_epochs=0)).state
+    out = runner(record, povm, dataclasses.replace(config,
+                                                   check_iterates=True))
+    assert len(seen) == out.iterations_run
+    return [start] + seen, out.metadata
+
+
+def _assert_iterates_match(got, want, label):
+    assert len(got) == len(want), label
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert tt_norm(tt_sub(g, w)) <= 1e-10 * tt_norm(w), \
+            f"{label}: iterate {k}"
+
+
+def _spectral_record_case(kind, n):
+    povm, rec = _povm_and_record(kind, n)
+    config = EstimatorConfig(ranks=4, init="spectral", max_iters=4,
+                             plateau_window=5,
+                             **STEP_PRESETS["pgd-spectral-rank4"])
+    return rec, povm, config
+
+
+def test_pgd_iterates_match_complex_data_operator(monkeypatch):
+    # the coordinate path against the fused complex one, iterate by
+    # iterate, with float64 coordinate cores throughout
+    cases = {"criterion-6": _provided_case(3, 109, 16, 110),
+             "backend-equivalence": _provided_case(3, 7, 8, 9),
+             "spectral-n8": _spectral_n8_case(),
+             "pauli6-n6": _spectral_record_case("pauli6", 6),
+             "qutrit-n3": _spectral_record_case("qutrit", 3)}
+    for label, (rec, povm, config) in cases.items():
+        got, _ = _run_iterates(pgd, rec, povm, config, monkeypatch)
+        _assert_iterates_match(got, _complex_pgd_iterates(rec, povm, config),
+                               label)
+
+
+def _psgd_pinned_n5_case():
+    povm = ProductPOVM.local_sic(5)
+    rec = sample_sequential(povm, _mpdo(5, seed=61), 2000, seed=62)
+    config = EstimatorConfig(ranks=2, init="random", init_seed=63,
+                             max_epochs=3, **STEP_PRESETS["psgd-random"])
+    return rec, povm, config
+
+
+def _psgd_n8_epoch_case():
+    povm = ProductPOVM.local_sic(8)
+    rec = sample_sequential(povm, _mpdo(8, seed=74), 3000, seed=75)
+    config = EstimatorConfig(ranks=4, init="random", init_seed=76,
+                             max_epochs=1, **STEP_PRESETS["psgd-random"])
+    return rec, povm, config
+
+
+def _psgd_record_case(kind, n):
+    # with k_loc > d^2 the batch gradient's first bond passes its cap
+    povm, rec = _povm_and_record(kind, n)
+    config = EstimatorConfig(ranks=2, init="random", init_seed=77,
+                             max_epochs=1, batch_size=128,
+                             **STEP_PRESETS["psgd-random"])
+    return rec, povm, config
+
+
+@pytest.mark.parametrize("case", [
+    _psgd_pinned_n5_case, _psgd_n8_epoch_case,
+    lambda: _psgd_record_case("pauli6", 6),
+    lambda: _psgd_record_case("qutrit", 3),
+], ids=["pinned-n5", "n8-epoch", "pauli6-n6", "qutrit-n3"])
+def test_psgd_iterates_match_complex_reference(case, monkeypatch):
+    rec, povm, config = case()
+    got, meta = _run_iterates(psgd, rec, povm, config, monkeypatch)
+    want = _complex_psgd_iterates(rec, povm, config, meta["epoch_size"],
+                                  meta["batch_size"])
+    _assert_iterates_match(got, want, "psgd")
 
 
 def test_pgd_iterate_invariants_every_step():
@@ -851,6 +1005,21 @@ def test_config_accepts_numpy_scalars_and_optional_none():
                              mu0=np.float64(0.5), ranks=(np.int32(2), 3),
                              epoch_size=None, tt_round_tol=None)
     assert config.rank_vector(3, 2) == (2, 3)
+
+
+def test_tt_round_tol_same_on_both_backends():
+    # the dense backend projects with the same tolerance compression
+    povm = ProductPOVM.local_sic(3)
+    rho = _mpdo(3, seed=54, kappa=1)
+    rec = sample_sequential(povm, rho, 2000, seed=55)
+    base = dict(ranks=4, init="random", init_seed=56, max_iters=10,
+                mu0=5 / 8, tt_round_tol=0.5)
+    out_tt = pgd(rec, povm, EstimatorConfig(backend="tt", **base))
+    out_dn = pgd(rec, povm, EstimatorConfig(backend="dense", **base))
+    assert out_tt.state.ranks == out_dn.state.ranks
+    diff = np.abs(tt_to_dense(out_tt.state).matrix
+                  - tt_to_dense(out_dn.state).matrix).max()
+    assert diff < 1e-8
 
 
 def test_tt_round_tol_compresses_iterates():

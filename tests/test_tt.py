@@ -32,6 +32,7 @@ from mpoqst.tt import (
     tt_scale,
     tt_sub,
     tt_to_dense,
+    tt_to_hermitian_coordinates,
     tt_to_json_dict,
     tt_trace,
     tt_zeros,
@@ -316,6 +317,19 @@ def test_tt_from_hermitian_coordinates_maps_the_physical_leg():
                     d=3)
     assert _rel_dist(got, want) <= 1e-15
     assert is_hermitian(got, 1e-14)
+
+
+@pytest.mark.parametrize("n, ranks", [(1, ()), (3, (3, 2))])
+def test_tt_to_hermitian_coordinates_gives_the_hermitian_part(n, ranks):
+    a = random_tt(n, 3, ranks, seed=26)  # not Hermitian
+    x = tt_to_hermitian_coordinates(a)
+    assert all(core.dtype == np.float64 for core in x.cores)
+    assert x.ranks == tuple(2 * r if 0 < l < n else 1
+                            for l, r in enumerate(a.ranks))
+    m = dense(a)
+    back = tt_from_hermitian_coordinates(x.cores, d=3)
+    assert np.abs(dense(back) - (m + m.conj().T) / 2).max() \
+        <= 1e-13 * np.abs(m).max()
 
 
 def test_orthogonalize_left_then_right_cuts_bonds_to_the_caps():
