@@ -18,8 +18,6 @@ import sys
 import time
 from dataclasses import asdict
 
-import numpy as np
-
 from . import __version__
 from .estimator import (
     EstimatorConfig,
@@ -51,6 +49,7 @@ from .states import MPDOGenConfig, purity, random_mpdo
 from .experiment import ExperimentSpec, run_experiment
 from .tt import (
     NumericalError,
+    _complex_from_json,
     tt_from_json_dict,
     tt_to_json_dict,
     tt_trace,
@@ -211,8 +210,7 @@ def cmd_check_povm(args) -> int:
 
 def cmd_check_design(args) -> int:
     with open(args.vectors) as fh:
-        raw = np.asarray(json.load(fh), dtype=float)
-    vectors = raw[..., 0] + 1j * raw[..., 1]
+        vectors = _complex_from_json(json.load(fh), "vectors")
     report = check_t_design(vectors, args.s)
     payload = asdict(report)
     print(json.dumps(payload, indent=2, sort_keys=True))

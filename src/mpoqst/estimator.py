@@ -53,7 +53,6 @@ from .povm import (
 )
 from .states import MPDOGenConfig, random_mpdo
 from .tt import (
-    N_DENSE_MAX,
     DenseOperator,
     NumericalError,
     TTTensor,
@@ -472,13 +471,13 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def psd_project(state, n_dense: int = N_DENSE_MAX) -> DenseOperator:
+def psd_project(state) -> DenseOperator:
     """Nearest physical state: eigenvalues projected onto the simplex.
 
     The eigenbasis is kept; the output is PSD with unit trace, and the map
     is non-expansive in Frobenius norm (projection onto a convex set)."""
     if isinstance(state, np.ndarray):
-        state = DenseOperator.from_matrix(state, n_dense=n_dense)
+        state = DenseOperator.from_matrix(state)
     if not state.is_hermitian(1e-10):
         raise ValueError("psd_project requires a Hermitian input")
     evals, vecs = np.linalg.eigh(state.matrix)

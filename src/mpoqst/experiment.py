@@ -27,6 +27,7 @@ from .estimator import EstimatorConfig, pgd, preset_schedule, psgd, recovery_err
 from .povm import ProductPOVM, gamma
 from .sampling import sample_sequential
 from .states import MPDOGenConfig, random_mpdo
+from .tt import _json_int
 
 CSV_COLUMNS = ["n", "shots", "rank", "init", "algorithm", "seed_index",
                "state_seed", "noise_seed", "init_error", "final_error",
@@ -40,7 +41,11 @@ MEDIAN_COLUMNS = ["n", "shots", "rank", "init", "algorithm",
 
 @dataclass
 class ExperimentSpec:
-    """Sweep axes and per-cell settings; every axis must be non-empty."""
+    """Sweep axes and per-cell settings.  Every axis must be a non-empty
+    list, the n, M and rank axes of positive JSON integers, as must be
+    seeds and purity; base_seed is an integer, record_gamma a boolean and
+    estimator_overrides an object of EstimatorConfig fields other than
+    init_state (ValueError otherwise)."""
 
     n_values: list
     m_values: list = field(default_factory=lambda: [3000])
@@ -57,10 +62,25 @@ class ExperimentSpec:
     def __post_init__(self):
         for name in ("n_values", "m_values", "rank_values", "init_modes",
                      "algorithms"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be non-empty")
-        if self.seeds < 1:
-            raise ValueError("seeds must be >= 1")
+            axis = getattr(self, name)
+            if not isinstance(axis, (list, tuple)) or not axis:
+                raise ValueError(f"{name} must be a non-empty list")
+        for name in ("n_values", "m_values", "rank_values"):
+            if min(_json_int(v, f"{name} entry")
+                   for v in getattr(self, name)) < 1:
+                raise ValueError(f"{name} entries must be >= 1")
+        for name in ("seeds", "purity"):
+            if _json_int(getattr(self, name), name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        _json_int(self.base_seed, "base_seed")
+        if not isinstance(self.record_gamma, bool):
+            raise ValueError("record_gamma must be true or false")
+        if not isinstance(self.estimator_overrides, dict):
+            raise ValueError("estimator_overrides must be a JSON object")
+        if "init_state" in self.estimator_overrides:
+            raise ValueError("init_state cannot be set in "
+                             "estimator_overrides")
+        EstimatorConfig(**self.estimator_overrides)  # its own field checks
         for alg in self.algorithms:
             if alg not in ("pgd", "psgd"):
                 raise ValueError(f"unknown algorithm {alg!r}")
@@ -75,6 +95,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentSpec":
+        if not isinstance(data, dict):
+            raise ValueError("an experiment spec must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:

@@ -18,10 +18,10 @@ from math import comb, factorial
 import numpy as np
 
 from .tt import (
-    N_DENSE_MAX,
     DenseOperator,
     NumericalError,
     TTTensor,
+    _check_dense_cap,
     _complex_from_json,
     _json_int,
     _json_list,
@@ -269,11 +269,9 @@ def dense_from_local(local: LocalPOVM) -> DensePOVM:
     return DensePOVM(elements=local.elements, dim=local.d)
 
 
-def dense_from_product(povm: ProductPOVM,
-                       n_dense: int = N_DENSE_MAX) -> DensePOVM:
+def dense_from_product(povm: ProductPOVM) -> DensePOVM:
     """Materialize every global element of a product POVM (small n only)."""
-    if povm.n > n_dense:
-        raise ValueError(f"n={povm.n} exceeds dense cap {n_dense}")
+    _check_dense_cap(povm.n)
     elements = []
     for outcome in iter_outcomes(povm):
         m = np.ones((1, 1), dtype=complex)
@@ -410,6 +408,8 @@ class DesignReport:
 def check_t_design(vectors, s: int) -> DesignReport:
     """Compare the empirical s-th moment (1/K) sum (w w^dag)^{x s} of unit
     vectors against the uniform-measure moment P_sym / C(dim+s-1, s)."""
+    if s < 1:
+        raise ValueError(f"moment order s must be >= 1, got {s}")
     w = np.ascontiguousarray(vectors, dtype=complex)
     if w.ndim != 2:
         raise ValueError("vectors must be a (K, dim) array-like")
@@ -520,8 +520,7 @@ def _right_environments(transfers: list) -> list:
 def probability_tensor(povm: ProductPOVM, state: TTTensor) -> np.ndarray:
     """All K outcome probabilities of a TT state, as a (k_1, ..., k_n)
     real tensor; requires n <= N_DENSE_MAX sites of enumeration."""
-    if povm.k_total > (povm.sites[0].k_loc ** N_DENSE_MAX):
-        raise ValueError("outcome space too large to enumerate")
+    _check_dense_cap(povm.n)
     acc = np.ones((1, 1), dtype=complex)  # (outcomes-so-far, bond)
     for trans in _site_transfers(povm, state):
         acc = np.einsum("pr,krs->pks", acc, trans)
@@ -618,18 +617,16 @@ class GammaReport:
 
 
 def gamma(povm: ProductPOVM, state: TTTensor, method: str = "exhaustive",
-          beam_width: int = 64, n_dense: int = N_DENSE_MAX) -> GammaReport:
+          beam_width: int = 64) -> GammaReport:
     """Uniformity statistic gamma = K * max_k p_k.
 
-    ``exhaustive`` enumerates all K outcomes (n <= n_dense);
-    ``beam`` sweeps left to right keeping the ``beam_width`` highest-
-    marginal prefixes and reports a lower bound (exact=False).
+    ``exhaustive`` enumerates all K outcomes (n <= N_DENSE_MAX);
+    ``beam`` sweeps left to right keeping the ``beam_width`` >= 1 highest-
+    marginal prefixes, ties broken by the lexicographically smaller
+    prefix, and reports a lower bound (exact=False).
     """
     k_total = povm.k_total
     if method == "exhaustive":
-        if povm.n > n_dense:
-            raise ValueError(f"n={povm.n} exceeds dense cap {n_dense} for "
-                             "exhaustive enumeration")
         probs = probability_tensor(povm, state)
         flat = int(np.argmax(probs))
         idx = np.unravel_index(flat, probs.shape)
@@ -639,21 +636,28 @@ def gamma(povm: ProductPOVM, state: TTTensor, method: str = "exhaustive",
                            exact=True, p_max=p_max, k_total=k_total)
     if method != "beam":
         raise ValueError(f"unknown method {method!r}")
+    if beam_width < 1:
+        raise ValueError(f"beam width must be >= 1, got {beam_width}")
     transfers = _site_transfers(povm, state)
     envs = _right_environments(transfers)
-    # beam entries: (marginal, outcome-prefix, left bond vector)
-    beam = [(1.0, (), np.ones(1, dtype=complex))]
-    for l in range(povm.n):
-        candidates = []
-        for _, prefix, left in beam:
-            vecs = np.einsum("r,krs->ks", left, transfers[l])
-            margs = (vecs @ envs[l + 1]).real
-            for i in range(povm.sites[l].k_loc):
-                candidates.append((float(margs[i]), prefix + (i + 1,), vecs[i]))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        beam = candidates[:beam_width]
-    p_max, outcome, _ = beam[0]
-    p_max = max(p_max, 0.0)
+    # the beam: (B, l) 1-based prefixes, their (B, r_l) left bond vectors
+    # and (B,) marginals
+    prefixes = np.zeros((1, 0), dtype=np.intp)
+    lefts = np.ones((1, 1), dtype=complex)
+    for trans, env in zip(transfers, envs[1:]):
+        k_loc, _, r = trans.shape
+        # score the expanded vectors themselves: lefts @ (trans env)^T
+        # would round the marginals differently
+        vecs = np.einsum("br,krs->bks", lefts, trans)
+        margs = (vecs @ env).real.reshape(-1)
+        prefixes = np.column_stack([
+            np.repeat(prefixes, k_loc, axis=0),
+            np.tile(np.arange(1, k_loc + 1), len(lefts))])
+        keep = np.lexsort((*prefixes.T[::-1], -margs))[:beam_width]
+        prefixes, lefts, margs = (prefixes[keep],
+                                  vecs.reshape(-1, r)[keep], margs[keep])
+    p_max = max(float(margs[0]), 0.0)
+    outcome = tuple(prefixes[0].tolist())
     return GammaReport(gamma=k_total * p_max, argmax_outcome=outcome,
                        exact=False, p_max=p_max, k_total=k_total)
 

@@ -40,7 +40,7 @@ from .povm import (
     povm_id,
     probability_tensor,
 )
-from .tt import N_DENSE_MAX, DenseOperator, TTTensor, _json_int
+from .tt import DenseOperator, TTTensor, _json_int
 
 _MAX_RETRY_ROUNDS = 10
 _SHOT_CHUNK = 4096
@@ -265,8 +265,7 @@ def _flat_outcomes(flat: np.ndarray, shape: tuple) -> np.ndarray:
     return rows.astype(_index_dtype(max(shape)))
 
 
-def population_record(povm: ProductPOVM, state: TTTensor,
-                      n_dense: int = N_DENSE_MAX) -> PopulationRecord:
+def population_record(povm: ProductPOVM, state: TTTensor) -> PopulationRecord:
     """Enumerate the exact probability of every outcome (small n only).
 
     Values are kept raw (no clamping) so that estimators fed with a
@@ -282,8 +281,7 @@ def population_record(povm: ProductPOVM, state: TTTensor,
 # enumeration sampler
 
 
-def sample_enumerate(povm, state, m_shots: int, seed: int,
-                     n_dense: int = N_DENSE_MAX) -> OutcomeRecord:
+def sample_enumerate(povm, state, m_shots: int, seed: int) -> OutcomeRecord:
     """One multinomial draw over the full enumerated distribution.
 
     Requires an enumerable outcome space; the probability vector is
@@ -298,14 +296,9 @@ def sample_enumerate(povm, state, m_shots: int, seed: int,
     elif isinstance(povm, ProductPOVM):
         if isinstance(state, DenseOperator):
             probs = measure_map_dense(povm, state)
-            shape = povm.k_locs
         else:
-            if povm.n > n_dense:
-                raise ValueError(
-                    f"n={povm.n} exceeds dense cap {n_dense}; "
-                    "use sample_sequential")
-            probs = probability_tensor(povm, state).reshape(-1)
-            shape = povm.k_locs
+            probs = probability_tensor(povm, state)
+        shape = povm.k_locs
     else:
         raise TypeError(f"unsupported POVM type {type(povm)}")
     probs = np.asarray(probs, dtype=float).reshape(-1)
@@ -337,8 +330,10 @@ def sample_sequential(povm: ProductPOVM, state: TTTensor, m_shots: int,
     the induced distribution equals the Born probabilities exactly in
     exact arithmetic.  Conditionals hitting the negative-noise window are
     clamped (counted in diagnostics); shots landing on a zero-mass prefix
-    are retried in later streams, at most 10 rounds.  The completed shots
-    of every chunk are kept as rows and counted once at the end.
+    are retried in later streams, at most 10 rounds.  A mass below the
+    window or a non-finite one raises NonPhysicalStateError.  The
+    completed shots of every chunk are kept as rows and counted once at
+    the end.
     """
     n = povm.n
     transfers = _site_transfers(povm, state)
@@ -367,21 +362,21 @@ def sample_sequential(povm: ProductPOVM, state: TTTensor, m_shots: int,
             for l in range(n):
                 # cand[l] has shape (k_loc, r_{l-1}); masses[m, i] = left[m] . cand[l][i]
                 masses = (left @ cand[l].T).real
-                neg = masses < 0
                 bad = masses < -PROB_CLAMP_TOL
                 if bad.any():
                     raise NonPhysicalStateError(
                         f"conditional mass {masses[bad].min():.3e} below "
                         "clamp tolerance; the state is not PSD")
-                clamped_total += int((neg & ~bad).sum())
-                masses[neg] = 0.0
+                clamped_total += int((masses < 0).sum())
+                np.maximum(masses, 0.0, out=masses)
                 totals = masses.sum(axis=1)
-                dead = alive & (totals <= 0.0)
-                if dead.any():
-                    alive &= ~dead
-                cond = np.zeros_like(masses)
-                ok = totals > 0
-                cond[ok] = masses[ok] / totals[ok, None]
+                if not np.isfinite(totals).all():
+                    raise NonPhysicalStateError(
+                        f"non-finite conditional mass at site {l + 1}; "
+                        "the state's cores overflow")
+                live = totals > 0
+                alive &= live
+                cond = masses / np.where(live, totals, 1)[:, None]
                 cum = np.cumsum(cond, axis=1)
                 pick = (us[:, l:l + 1] > cum).sum(axis=1)
                 np.clip(pick, 0, k_locs[l] - 1, out=pick)

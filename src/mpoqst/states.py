@@ -57,14 +57,16 @@ def _draw_mpdo(config: MPDOGenConfig, seed: int) -> TTTensor:
         # a_cores[i, a] is a (kl_left, kl_right) matrix
         a_cores = (rng.uniform(-1.0, 1.0, size=(d, kl, kl_left, kl_right))
                    + 1j * rng.uniform(-1.0, 1.0, size=(d, kl, kl_left, kl_right)))
-        core = np.zeros((kl_left ** 2, d * d, kl_right ** 2), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                x = np.zeros((kl_left ** 2, kl_right ** 2), dtype=complex)
-                for a in range(kl):
-                    x += np.kron(a_cores[i, a], a_cores[j, a].conj())
-                core[:, fuse_index(i, j, d), :] = x
-        cores.append(core)
+        # x[j, i, p, p', q, q'] = sum_a A^{i,a}[p, q] conj(A^{j,a}[p', q']);
+        # adding the terms in order of a keeps every seeded draw bit for bit
+        x = np.zeros((d, d, kl_left, kl_left, kl_right, kl_right),
+                     dtype=complex)
+        for a in range(kl):
+            x += (a_cores[None, :, a, :, None, :, None]
+                  * a_cores[:, None, a, None, :, None, :].conj())
+        # rows (p p'), fused physical i + d*j, columns (q q')
+        cores.append(x.transpose(2, 3, 0, 1, 4, 5).reshape(
+            kl_left ** 2, d * d, kl_right ** 2))
     return TTTensor(tuple(cores), d=d)
 
 

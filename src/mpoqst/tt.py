@@ -38,6 +38,13 @@ class NumericalError(RuntimeError):
     """A numerical contract was violated (degenerate trace, residues, ...)."""
 
 
+def _check_dense_cap(n: int) -> None:
+    """ValueError when n sites exceed N_DENSE_MAX: the one guard run
+    before anything d**n-sized is allocated."""
+    if n > N_DENSE_MAX:
+        raise ValueError(f"n={n} exceeds dense cap {N_DENSE_MAX}")
+
+
 def fuse_index(i: int, j: int, d: int) -> int:
     """Fused physical index of the (row i, column j) pair, 0-based."""
     return i + d * j
@@ -118,6 +125,7 @@ class DenseOperator:
     d: int = 2
 
     def __post_init__(self):
+        _check_dense_cap(self.n)
         m = np.ascontiguousarray(self.matrix, dtype=complex)
         dim = self.d ** self.n
         if m.shape != (dim, dim):
@@ -130,14 +138,12 @@ class DenseOperator:
         return self.d ** self.n
 
     @classmethod
-    def from_matrix(cls, matrix, d: int = 2, n_dense: int = N_DENSE_MAX):
+    def from_matrix(cls, matrix, d: int = 2):
         matrix = np.asarray(matrix)
         dim = matrix.shape[0]
         n = round(np.log(dim) / np.log(d))
         if d ** n != dim:
             raise ValueError(f"matrix dimension {dim} is not a power of {d}")
-        if n > n_dense:
-            raise ValueError(f"n={n} exceeds dense cap {n_dense}")
         return cls(matrix=matrix, n=n, d=d)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
@@ -220,8 +226,8 @@ def _choose_rank(s: np.ndarray, cap, per_cut_budget):
     return max(1, r)
 
 
-def tt_from_dense(dense, target_ranks=None, truncation_tol=None, d: int = 2,
-                  n_dense: int = N_DENSE_MAX) -> TTTensor:
+def tt_from_dense(dense, target_ranks=None, truncation_tol=None,
+                  d: int = 2) -> TTTensor:
     """Sequential truncated-SVD decomposition of a dense operator.
 
     Exactly one of ``target_ranks`` / ``truncation_tol`` must be given.
@@ -233,10 +239,8 @@ def tt_from_dense(dense, target_ranks=None, truncation_tol=None, d: int = 2,
     if isinstance(dense, DenseOperator):
         matrix, n, d = dense.matrix, dense.n, dense.d
     else:
-        op = DenseOperator.from_matrix(dense, d=d, n_dense=n_dense)
+        op = DenseOperator.from_matrix(dense, d=d)
         matrix, n = op.matrix, op.n
-    if n > n_dense:
-        raise ValueError(f"n={n} exceeds dense cap {n_dense}")
     if target_ranks is not None:
         target_ranks = _validate_ranks(target_ranks, n, d)
     dd = d * d
@@ -246,10 +250,9 @@ def tt_from_dense(dense, target_ranks=None, truncation_tol=None, d: int = 2,
                                    n, d, target_ranks, truncation_tol)
 
 
-def tt_to_dense(tt: TTTensor, n_dense: int = N_DENSE_MAX) -> DenseOperator:
+def tt_to_dense(tt: TTTensor) -> DenseOperator:
     """Materialize the dense operator (guarded by the site cap)."""
-    if tt.n > n_dense:
-        raise ValueError(f"n={tt.n} exceeds dense cap {n_dense}")
+    _check_dense_cap(tt.n)
     acc = tt.cores[0].reshape(tt.d * tt.d, -1)
     for core in tt.cores[1:]:
         acc = np.tensordot(acc, core, axes=[[-1], [0]])
@@ -560,23 +563,19 @@ def is_hermitian(a: TTTensor, tol: float = 1e-10) -> bool:
 # TT singular values
 
 
-def smallest_tt_singular_value(a: TTTensor, ranks,
-                               n_dense: int = N_DENSE_MAX) -> float:
+def smallest_tt_singular_value(a: TTTensor, ranks) -> float:
     """min over cuts l of the r_l-th singular value of the l-th unfolding.
 
     Computed from dense unfoldings of the fused tensor, so it is limited to
-    n <= n_dense.  For n == 1 there are no internal cuts and +inf is
+    n <= N_DENSE_MAX.  For n == 1 there are no internal cuts and +inf is
     returned.
     """
-    if a.n > n_dense:
-        raise ValueError(f"n={a.n} exceeds dense cap {n_dense}")
     if a.n == 1:
         return float("inf")
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != a.n - 1:
         raise ValueError(f"rank vector length {len(ranks)} != {a.n - 1}")
-    tensor = fuse_dense_to_tensor(tt_to_dense(a, n_dense=n_dense).matrix,
-                                  a.n, a.d)
+    tensor = fuse_dense_to_tensor(tt_to_dense(a).matrix, a.n, a.d)
     dd = a.d * a.d
     smallest = np.inf
     for l in range(1, a.n):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from mpoqst import experiment
 from mpoqst.cli import main
 from mpoqst.povm import MAX_REPEAT, local_povm_to_json_dict, sic_qubit
-from mpoqst.states import MPDOGenConfig, random_mpdo
+from mpoqst.states import MPDOGenConfig, maximally_mixed, random_mpdo
 from mpoqst.tt import tt_from_json_dict, tt_to_json_dict
 
 
@@ -742,3 +742,239 @@ def test_experiment_rejects_bad_spec(workspace):
     spec_path.write_text(json.dumps({"n_values": [2], "bogus": 1}))
     assert run(["experiment", "--spec", spec_path,
                 "--out", workspace / "x"]) == 1
+
+
+def _cli(args) -> tuple:
+    """Exit code and stderr of one in-process run; an argparse error
+    counts as its SystemExit code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in args])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def test_measure_non_finite_masses_exit_2(workspace):
+    # cores scaled by 1e120 made the chain overflow; the run exited 0
+    # with all 1000 shots on (4, 4, 4, 4)
+    state = random_mpdo(MPDOGenConfig(n=4, kappa=2, purity=10, seed=1))
+    payload = tt_to_json_dict(state)
+    payload["cores"] = [(np.array(c) * 1e120).tolist()
+                        for c in payload["cores"]]
+    path = workspace / "big.json"
+    path.write_text(json.dumps(payload))
+    with np.errstate(all="ignore"):
+        code, err = _cli(["measure", "--state", path, "--shots", 1000,
+                          "--out", workspace / "rec.json"])
+    assert code == 2
+    assert err.startswith("numerical failure:") and "non-finite" in err
+    assert not (workspace / "rec.json").exists()
+
+
+@pytest.mark.parametrize("vectors", [[], [[]], [[[1, 0, 3]]]])
+def test_check_design_rejects_malformed_vectors(workspace, vectors):
+    # [] and [[]] ended in an IndexError traceback; [[[1, 0, 3]]] was
+    # read as the vector (1,) and exited 0
+    path = workspace / "vectors.json"
+    path.write_text(json.dumps(vectors))
+    code, err = _cli(["check-design", "--vectors", path])
+    assert code == 1
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("width", [0, -3])
+def test_gamma_rejects_beam_width_below_one(workspace, width):
+    state = _generate(workspace, n=3, kappa=1)
+    code, err = _cli(["gamma", "--state", state, "--method", "beam",
+                      "--width", width])
+    assert code == 1
+    assert "beam width" in err
+
+
+_SPEC = {"n_values": [2], "m_values": [20], "seeds": 1,
+         "estimator_overrides": {"max_iters": 1}}
+
+
+def _experiment_exit(spec) -> tuple:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            fh.write(json.dumps(spec))
+        return _cli(["experiment", "--spec", path,
+                     "--out", os.path.join(tmp, "out")])
+
+
+def test_experiment_accepts_unfaulted_fuzz_spec():
+    full = {**_SPEC, "rank_values": [1], "init_modes": ["random"],
+            "algorithms": ["pgd"], "base_seed": 3, "povm": "local-sic",
+            "purity": 2, "record_gamma": True}
+    assert _experiment_exit(full)[0] == 0
+
+
+@pytest.mark.parametrize("fault", [
+    {"estimator_overrides": {"init": "provided", "init_state": [1]}},
+    {"n_values": [3.5]}, {"seeds": True}, {"m_values": [True]},
+    {"rank_values": [1.0]}, {"base_seed": "1"}, {"purity": 2.0},
+    {"record_gamma": 1}, {"estimator_overrides": [["max_iters", 1]]},
+    {"estimator_overrides": {"max_iters": 1.5}}, {"n_values": 2}])
+def test_experiment_rejects_spec_faults(fault):
+    # the init_state override ended in an AttributeError traceback, n=3.5
+    # ran as n=3 and seeds=true as one seed
+    code, err = _experiment_exit({**_SPEC, **fault})
+    assert code == 1
+    assert err.startswith("input error:")
+
+
+_NOT_LIST = st.one_of(_NOT_INT.filter(lambda x: not isinstance(x, list)),
+                      st.integers(), st.just([]),
+                      st.dictionaries(st.text(max_size=2), st.integers(),
+                                      max_size=2))
+_BAD_COUNT = st.one_of(_NOT_INT, st.integers(max_value=0))
+_SPEC_FIELDS = set(experiment.ExperimentSpec.__dataclass_fields__)
+
+
+def _bad_choice(valid):
+    return st.one_of(_JUNK, st.text(max_size=8)).filter(
+        lambda x: x not in valid)
+
+
+@st.composite
+def _specs(draw):
+    """A tiny experiment spec, valid but for one fault."""
+    spec = json.loads(json.dumps(_SPEC))
+    kind = draw(st.sampled_from([
+        "top", "unknown", "axis", "axis-entry", "choice", "count",
+        "base_seed", "record_gamma", "povm", "overrides"]))
+    if kind == "top":
+        return draw(_JUNK)
+    if kind == "unknown":
+        spec[draw(st.text(min_size=1, max_size=6).filter(
+            lambda k: k not in _SPEC_FIELDS))] = draw(_JUNK)
+    elif kind == "axis":
+        spec[draw(st.sampled_from(["n_values", "m_values", "rank_values",
+                                   "init_modes", "algorithms"]))] = \
+            draw(_NOT_LIST)
+    elif kind == "axis-entry":
+        name = draw(st.sampled_from(["n_values", "m_values", "rank_values"]))
+        bad = draw(_BAD_COUNT)
+        spec[name] = [2, bad] if draw(st.booleans()) else [bad]
+    elif kind == "choice":
+        if draw(st.booleans()):
+            spec["init_modes"] = [draw(_bad_choice(("random", "spectral")))]
+        else:
+            spec["algorithms"] = [draw(_bad_choice(("pgd", "psgd")))]
+    elif kind == "count":
+        spec[draw(st.sampled_from(["seeds", "purity"]))] = draw(_BAD_COUNT)
+    elif kind == "base_seed":
+        spec["base_seed"] = draw(_NOT_INT)
+    elif kind == "record_gamma":
+        spec["record_gamma"] = draw(_JUNK.filter(
+            lambda x: not isinstance(x, bool)))
+    elif kind == "povm":
+        spec["povm"] = draw(_bad_choice(("local-sic",)))
+    else:
+        spec["estimator_overrides"] = draw(st.one_of(
+            _configs(), st.just({"init": "provided", "init_state": [1]})))
+    return spec
+
+
+@settings(max_examples=50, deadline=None)
+@given(spec=_specs())
+def test_experiment_malformed_spec_exits_1(spec):
+    code, err = _experiment_exit(spec)
+    assert code == 1
+    assert "Traceback" not in err
+
+
+_GAMMA_FAULTS = ["width", "width-type", "method", "cap", "povm", "state"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(_GAMMA_FAULTS), n=st.integers(1, 3),
+       width=st.integers(max_value=0), text=st.floats().map(repr),
+       method=st.text(max_size=8).filter(
+           lambda m: m not in ("exhaustive", "beam")))
+def test_gamma_malformed_arguments_exit_1_or_2(kind, n, width, text, method):
+    with tempfile.TemporaryDirectory() as tmp:
+        state = os.path.join(tmp, "state.json")
+        truth = maximally_mixed(11 if kind == "cap" else n)
+        with open(state, "w") as fh:
+            fh.write(json.dumps(tt_to_json_dict(truth)))
+        args = ["gamma", "--state", state]
+        if kind == "width":
+            args += ["--method", "beam", "--width", width]
+        elif kind == "width-type":
+            args += ["--method", "beam", "--width", text]
+        elif kind == "method":
+            args += ["--method", method]
+        elif kind == "povm":  # a product POVM on another site count
+            povm = os.path.join(tmp, "povm.json")
+            with open(povm, "w") as fh:
+                fh.write(json.dumps({"kind": "product", "local": _sic_site(),
+                                     "repeat": n + 1}))
+            args += ["--povm", povm]
+        elif kind == "state":
+            args[2] = os.path.join(tmp, "missing.json")
+        code, err = _cli(args)
+    assert code in (1, 2)
+    assert "Traceback" not in err
+
+
+def _vector_pairs() -> list:
+    from mpoqst.povm import sic_qubit_vectors
+
+    vecs = sic_qubit_vectors()
+    return np.stack([vecs.real, vecs.imag], axis=-1).tolist()
+
+
+@st.composite
+def _vector_files(draw):
+    """The qubit SIC vectors as [re, im] pairs, valid but for one fault."""
+    vecs = _vector_pairs()
+    k, c, p = (draw(st.integers(0, 3)), draw(st.integers(0, 1)),
+               draw(st.integers(0, 1)))
+    kind = draw(st.sampled_from([
+        "top", "vector", "ragged", "pair", "entry", "norm", "depth",
+        "empty"]))
+    if kind == "top":
+        return draw(_JUNK)
+    if kind == "vector":
+        vecs[k] = draw(_JUNK)
+    elif kind == "ragged":
+        vecs[k] = vecs[k][:1] if draw(st.booleans()) else vecs[k] + [[0, 0]]
+    elif kind == "pair":
+        vecs[k][c] = vecs[k][c][:1] if draw(st.booleans()) else \
+            vecs[k][c] + [0.0]
+    elif kind == "entry":
+        vecs[k][c][p] = draw(_NOT_NUMBER)
+    elif kind == "norm":
+        vecs[k] = [[2 * x for x in pair] for pair in vecs[k]]
+    elif kind == "depth":
+        vecs = draw(st.sampled_from([[vecs], vecs[0], vecs[0][0]]))
+    else:
+        vecs = draw(st.sampled_from([[], [[]], [[[]]]]))
+    return vecs
+
+
+@settings(max_examples=50, deadline=None)
+@given(vectors=_vector_files(), s=st.integers(-2, 3))
+def test_check_design_malformed_vectors_exit_1(vectors, s):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "vectors.json")
+        with open(path, "w") as fh:
+            fh.write(json.dumps(vectors))
+        code, err = _cli(["check-design", "--vectors", path, "--s", s])
+    assert code == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("s", [0, -1])
+def test_check_design_rejects_order_below_one(workspace, s):
+    path = workspace / "vectors.json"
+    path.write_text(json.dumps(_vector_pairs()))
+    code, err = _cli(["check-design", "--vectors", path, "--s", s])
+    assert code == 1
+    assert "moment order" in err

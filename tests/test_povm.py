@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mpoqst.povm import (
     DensePOVM,
+    GammaReport,
     LocalPOVM,
     NonPhysicalStateError,
     ProductPOVM,
@@ -32,8 +33,16 @@ from mpoqst.povm import (
     sum_channel,
     sym_projector,
     wh_sic_from_fiducial,
+    _right_environments,
+    _site_transfers,
 )
-from mpoqst.states import MPDOGenConfig, maximally_mixed, pure_product, random_mpdo
+from mpoqst.states import (
+    MPDOGenConfig,
+    ghz_density,
+    maximally_mixed,
+    pure_product,
+    random_mpdo,
+)
 from mpoqst.tt import DenseOperator, hermitian_basis, random_tt, tt_to_dense
 
 
@@ -525,6 +534,65 @@ def test_gamma_exhaustive_size_guard():
     povm = ProductPOVM.local_sic(11)
     with pytest.raises(ValueError):
         gamma(povm, maximally_mixed(11), method="exhaustive")
+
+
+def _gamma_beam_loop(povm, state, beam_width):
+    """The per-prefix beam that gamma(method="beam") replaced, frozen as a
+    reference: a Python list of (marginal, prefix, vector) candidates,
+    sorted at every site."""
+    transfers = _site_transfers(povm, state)
+    envs = _right_environments(transfers)
+    beam = [(1.0, (), np.ones(1, dtype=complex))]
+    for l in range(povm.n):
+        candidates = []
+        for _, prefix, left in beam:
+            vecs = np.einsum("r,krs->ks", left, transfers[l])
+            margs = (vecs @ envs[l + 1]).real
+            for i in range(povm.sites[l].k_loc):
+                candidates.append((float(margs[i]), prefix + (i + 1,),
+                                   vecs[i]))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        beam = candidates[:beam_width]
+    p_max, outcome, _ = beam[0]
+    p_max = max(p_max, 0.0)
+    return GammaReport(gamma=povm.k_total * p_max, argmax_outcome=outcome,
+                       exact=False, p_max=p_max, k_total=povm.k_total)
+
+
+def _pauli6() -> LocalPOVM:
+    vecs = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]])
+    vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    return LocalPOVM(tuple(np.outer(v, v.conj()) / 3 for v in vecs), d=2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_gamma_beam_matches_the_prefix_loop(n):
+    # identical reports, ties included: the maximally mixed state and
+    # the GHZ state tie many prefixes, broken by the smaller prefix
+    sic, pauli6 = sic_qubit(), _pauli6()
+    povms = [ProductPOVM.local_sic(n),
+             ProductPOVM(sites=tuple(pauli6 if l % 2 else sic
+                                     for l in range(n)))]
+    states = [maximally_mixed(n), pure_product(("01" * n)[:n])]
+    states += [ghz_density(n)] if n > 1 else []
+    states += [random_mpdo(MPDOGenConfig(n=n, kappa=kappa, purity=purity,
+                                         seed=300 + seed))
+               for seed in range(3) for kappa, purity in ((1, 10), (2, 1))]
+    for povm in povms:
+        for state in states:
+            for width in (1, 3, 16, 64):
+                got = gamma(povm, state, method="beam", beam_width=width)
+                want = _gamma_beam_loop(povm, state, width)
+                assert got == want
+                assert all(type(i) is int for i in got.argmax_outcome)
+
+
+@pytest.mark.parametrize("width", [0, -3])
+def test_gamma_beam_rejects_width_below_one(width):
+    # width 0 ended in an IndexError, and -3 silently dropped candidates
+    with pytest.raises(ValueError, match="beam width"):
+        gamma(ProductPOVM.local_sic(3), maximally_mixed(3), method="beam",
+              beam_width=width)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpoqst.povm import (
+    PROB_CLAMP_TOL,
     LocalPOVM,
+    NonPhysicalStateError,
     ProductPOVM,
+    _right_environments,
+    _site_transfers,
     dense_from_local,
     marginal_prefix_prob,
     prob_of_outcome,
@@ -20,9 +24,13 @@ from mpoqst.povm import (
     wh_sic_from_fiducial,
 )
 from mpoqst.sampling import (
+    _MAX_RETRY_ROUNDS,
+    _SHOT_CHUNK,
     OutcomeRecord,
     PopulationRecord,
     _count_rows,
+    _index_dtype,
+    _stream,
     empirical_probability,
     nonzero_outcomes,
     population_record,
@@ -32,8 +40,13 @@ from mpoqst.sampling import (
     sample_sequential,
     write_record_json,
 )
-from mpoqst.states import MPDOGenConfig, maximally_mixed, random_mpdo
-from mpoqst.tt import DenseOperator
+from mpoqst.states import (
+    MPDOGenConfig,
+    ghz_density,
+    maximally_mixed,
+    random_mpdo,
+)
+from mpoqst.tt import DenseOperator, TTTensor
 
 
 def _mpdo(n, seed, kappa=2):
@@ -187,6 +200,89 @@ def test_sequential_shot_conservation(seed, m):
     state = _mpdo(2, seed=9)
     rec = sample_sequential(povm, state, m, seed=seed)
     assert sum(rec.counts.values()) == m
+
+
+def _sequential_loop(povm, state, m_shots, seed):
+    """The per-site sampler loop that sample_sequential replaced, frozen
+    as a reference (zeros_like conditionals, masked copies and a separate
+    dead flag).  Returns the counted rows and the two diagnostics."""
+    n = povm.n
+    transfers = _site_transfers(povm, state)
+    envs = _right_environments(transfers)
+    cand = [np.tensordot(transfers[l], envs[l + 1], axes=[[2], [0]])
+            for l in range(n)]
+    k_locs = povm.k_locs
+    dtype = _index_dtype(max(k_locs))
+    done, clamped_total, aborted_total = [], 0, 0
+    pending = np.arange(m_shots)
+    for round_idx in range(_MAX_RETRY_ROUNDS + 1):
+        if len(pending) == 0:
+            break
+        uniforms = _stream(seed, round_idx).random((m_shots, n))
+        aborted = []
+        for lo in range(0, len(pending), _SHOT_CHUNK):
+            shots = pending[lo:lo + _SHOT_CHUNK]
+            us = uniforms[shots]
+            left = np.ones((len(shots), 1), dtype=complex)
+            outcome = np.zeros((len(shots), n), dtype=dtype)
+            alive = np.ones(len(shots), dtype=bool)
+            for l in range(n):
+                masses = (left @ cand[l].T).real
+                neg = masses < 0
+                bad = masses < -PROB_CLAMP_TOL
+                assert not bad.any()
+                clamped_total += int((neg & ~bad).sum())
+                masses[neg] = 0.0
+                totals = masses.sum(axis=1)
+                dead = alive & (totals <= 0.0)
+                if dead.any():
+                    alive &= ~dead
+                cond = np.zeros_like(masses)
+                ok = totals > 0
+                cond[ok] = masses[ok] / totals[ok, None]
+                cum = np.cumsum(cond, axis=1)
+                pick = (us[:, l:l + 1] > cum).sum(axis=1)
+                np.clip(pick, 0, k_locs[l] - 1, out=pick)
+                outcome[:, l] = pick
+                left = np.einsum("mr,mrs->ms", left, transfers[l][pick])
+            done.append(outcome[alive])
+            aborted.append(shots[~alive])
+        pending = np.concatenate(aborted)
+        aborted_total += len(pending)
+    rows = np.concatenate(done) + 1
+    return (*_count_rows(rows), clamped_total, aborted_total)
+
+
+@pytest.mark.parametrize("kind, n, shots", [
+    ("sic", 4, 20000), ("sic", 6, 20000), ("sic", 10, 10000),
+    ("sic", 12, 10000), ("pauli6-ghz", 4, 20000), ("pauli6-ghz", 6, 5000),
+    ("pauli6-ghz", 8, 20000)])
+def test_sequential_matches_the_site_loop(kind, n, shots):
+    # identical records and diagnostics; the GHZ state under Pauli-6
+    # clamps at n=4 and n=8 (its zero-probability prefixes come out as
+    # noise around zero)
+    if kind == "sic":
+        povm, state = ProductPOVM.local_sic(n), _mpdo(n, seed=100 + n)
+    else:
+        povm, state = ProductPOVM(sites=(_pauli6(),) * n), ghz_density(n)
+    rec = sample_sequential(povm, state, shots, seed=7)
+    outcomes, counts, clamped, aborted = _sequential_loop(povm, state,
+                                                          shots, 7)
+    assert np.array_equal(rec.outcomes, outcomes)
+    assert np.array_equal(rec.values, counts)
+    assert rec.diagnostics == {"clamped": clamped, "aborted": aborted}
+    if n in (4, 8) and kind != "sic":
+        assert clamped > 0
+
+
+def test_sequential_rejects_non_finite_masses():
+    # cores scaled by 1e120 overflow the marginal chain to NaN totals,
+    # which sent every shot to the last index of each site
+    state = _mpdo(4, seed=1)
+    big = TTTensor(tuple(c * 1e120 for c in state.cores), d=2)
+    with np.errstate(all="ignore"), \
+            pytest.raises(NonPhysicalStateError, match="non-finite"):
+        sample_sequential(ProductPOVM.local_sic(4), big, 1000, seed=0)
 
 
 # ---------------------------------------------------------------------------

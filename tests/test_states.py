@@ -7,13 +7,55 @@ from hypothesis import strategies as st
 
 from mpoqst.states import (
     MPDOGenConfig,
+    _draw_mpdo,
     ghz_density,
     maximally_mixed,
     pure_product,
     purity,
     random_mpdo,
 )
-from mpoqst.tt import is_hermitian, tt_norm, tt_to_dense, tt_trace
+from mpoqst.tt import (
+    fuse_index,
+    is_hermitian,
+    tt_norm,
+    tt_to_dense,
+    tt_trace,
+)
+
+
+def _draw_mpdo_loop(config, seed):
+    """The per-(i, j) np.kron core draw that _draw_mpdo replaced, frozen as
+    a reference."""
+    n, d, kappa, kl = config.n, config.d, config.kappa, config.purity
+    rng = np.random.default_rng(seed)
+    cores = []
+    for l in range(n):
+        kl_left = 1 if l == 0 else kappa
+        kl_right = 1 if l == n - 1 else kappa
+        a_cores = (rng.uniform(-1.0, 1.0, size=(d, kl, kl_left, kl_right))
+                   + 1j * rng.uniform(-1.0, 1.0,
+                                      size=(d, kl, kl_left, kl_right)))
+        core = np.zeros((kl_left ** 2, d * d, kl_right ** 2), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                x = np.zeros((kl_left ** 2, kl_right ** 2), dtype=complex)
+                for a in range(kl):
+                    x += np.kron(a_cores[i, a], a_cores[j, a].conj())
+                core[:, fuse_index(i, j, d), :] = x
+        cores.append(core)
+    return cores
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+@pytest.mark.parametrize("purity_", [1, 5, 10])
+def test_draw_matches_the_kron_loop(d, kappa, purity_):
+    # bit for bit, so every seeded truth stays where it was
+    config = MPDOGenConfig(n=4, kappa=kappa, purity=purity_, d=d)
+    seed = 1000 * d + 10 * kappa + purity_
+    got = _draw_mpdo(config, seed).cores
+    want = _draw_mpdo_loop(config, seed)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_config_validation():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpoqst.tt import (
+    DenseOperator,
     TTTensor,
     _orthogonalize_left,
     _orthogonalize_right,
@@ -87,9 +88,20 @@ def test_from_dense_rank_cap_validation():
 
 
 def test_from_dense_dense_cap():
-    tt = maximally_mixed(4)
-    with pytest.raises(ValueError):
-        tt_to_dense(tt, n_dense=3)
+    with pytest.raises(ValueError, match="dense cap"):
+        tt_to_dense(maximally_mixed(11))
+
+
+def test_dense_operator_holds_the_dense_cap():
+    # the cap is checked where a dense operator is made, so every dense
+    # path refuses n > N_DENSE_MAX with the same message
+    DenseOperator(np.eye(1024), n=10)
+    with pytest.raises(ValueError, match="n=11 exceeds dense cap 10"):
+        DenseOperator(np.eye(2048), n=11)
+    with pytest.raises(ValueError, match="dense cap"):
+        DenseOperator.from_matrix(np.eye(2048))
+    with pytest.raises(ValueError, match="dense cap"):
+        tt_from_dense(np.eye(2048), target_ranks=(1,) * 10)
 
 
 def test_in_class_input_exact_recovery():
