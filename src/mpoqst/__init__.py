@@ -45,7 +45,6 @@ from .povm import (  # noqa: F401
 from .sampling import (  # noqa: F401
     OutcomeRecord,
     PopulationRecord,
-    empirical_probability,
     population_record,
     sample_enumerate,
     sample_sequential,

@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 input error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -26,6 +25,7 @@ from .estimator import (
     recovery_error,
 )
 from .povm import (
+    DensePOVM,
     NonPhysicalStateError,
     ProductPOVM,
     check_povm,
@@ -50,17 +50,15 @@ from .experiment import ExperimentSpec, run_experiment
 from .tt import (
     NumericalError,
     _complex_from_json,
+    _json_sha256,
     tt_from_json_dict,
     tt_to_json_dict,
     tt_trace,
 )
 
-def _sha256_of(data) -> str:
-    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
-
 
 def _provenance(inputs, seed=None) -> dict:
-    return {"version": __version__, "input_sha256": _sha256_of(inputs),
+    return {"version": __version__, "input_sha256": _json_sha256(inputs),
             "seed": seed}
 
 
@@ -68,6 +66,14 @@ def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     print(path)
+
+
+def _report(payload: dict, out) -> int:
+    """Print a report and, given a path, also write it there."""
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    if out:
+        _write_json(out, payload)
+    return 0
 
 
 def _load_povm(label: str, n: int = None):
@@ -143,8 +149,7 @@ def cmd_estimate(args) -> int:
     povm = _load_povm(args.povm, n=record.outcomes.shape[1])
     if record.povm_id and record.povm_id != povm_id(povm):
         raise ValueError("record was measured with a different POVM")
-    for site in povm.sites:  # ValueError on a non-Hermitian element
-        site.hermitian_coordinates()
+    povm.hermitian_coordinates()  # ValueError on a non-Hermitian element
     overrides = {}
     if args.config:
         with open(args.config) as fh:
@@ -197,26 +202,16 @@ def cmd_check_povm(args) -> int:
     else:
         povm = _load_povm(args.povm)
         payload = {"povm": args.povm, "valid_povm": check_povm(povm)}
-        from .povm import DensePOVM
-
         if isinstance(povm, DensePOVM):
             report = check_sic(povm)
             payload["sic"] = asdict(report)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        _write_json(args.out, payload)
-    return 0
+    return _report(payload, args.out)
 
 
 def cmd_check_design(args) -> int:
     with open(args.vectors) as fh:
         vectors = _complex_from_json(json.load(fh), "vectors")
-    report = check_t_design(vectors, args.s)
-    payload = asdict(report)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        _write_json(args.out, payload)
-    return 0
+    return _report(asdict(check_t_design(vectors, args.s)), args.out)
 
 
 def cmd_gamma(args) -> int:
@@ -227,10 +222,7 @@ def cmd_gamma(args) -> int:
     payload = {"gamma": report.gamma, "p_max": report.p_max,
                "argmax_outcome": list(report.argmax_outcome),
                "exact": report.exact, "k_total": report.k_total}
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        _write_json(args.out, payload)
-    return 0
+    return _report(payload, args.out)
 
 
 def cmd_experiment(args) -> int:

@@ -51,7 +51,7 @@ from .povm import (
     outcome_amplitudes,
     sum_channel,
 )
-from .states import MPDOGenConfig, random_mpdo
+from .states import MPDOGenConfig, kappa_for_rank, random_mpdo
 from .tt import (
     DenseOperator,
     NumericalError,
@@ -59,7 +59,6 @@ from .tt import (
     _orthogonalize_left,
     _orthogonalize_right,
     cap_ranks,
-    is_hermitian,
     max_tt_ranks,
     tt_add,
     tt_from_dense,
@@ -72,7 +71,6 @@ from .tt import (
     tt_sub,
     tt_to_dense,
     tt_to_hermitian_coordinates,
-    tt_trace,
     tt_zeros,
 )
 
@@ -291,7 +289,7 @@ def _empirical_coordinates(record, povm: ProductPOVM) -> TTTensor:
     in float64.  A bond over its structural cap (k_loc > d^2) is first cut
     down by a left-to-right QR sweep."""
     cores = _trie_cores(record.outcomes, record.p_hat, povm,
-                        [site.hermitian_coordinates() for site in povm.sites])
+                        povm.hermitian_coordinates())
     dd = povm.d * povm.d
     if any(c.shape[2] > cap
            for c, cap in zip(cores, max_tt_ranks(povm.n, povm.d))):
@@ -300,17 +298,12 @@ def _empirical_coordinates(record, povm: ProductPOVM) -> TTTensor:
     return TTTensor(tuple(cores), d=povm.d)
 
 
-def _fused(x: TTTensor) -> TTTensor:
-    """The fused operator of a coordinate TT."""
-    return tt_from_hermitian_coordinates(x.cores, x.d)
-
-
 def empirical_operator(record, povm: ProductPOVM) -> TTTensor:
     """The adjoint-map image E = sum_k p_hat_k A_k of the recorded
     weights, returned right-orthogonal: cores 2..n have orthonormal rows,
     as tt_right_orthogonalize gives them.  ValueError when a POVM element
     is not Hermitian."""
-    return _fused(_empirical_coordinates(record, povm))
+    return tt_from_hermitian_coordinates(_empirical_coordinates(record, povm))
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +317,11 @@ def _loss_from_parts(state, channel, cross: float, weight_sq: float) -> float:
     return max(quad - 2.0 * cross + weight_sq, 0.0)
 
 
-def loss(state: TTTensor, record, povm: ProductPOVM,
-         empirical: TTTensor = None) -> float:
+def loss(state: TTTensor, record, povm: ProductPOVM) -> float:
     """|| A(rho) - p_hat ||_2^2 without enumerating zero-count outcomes:
     <rho, Phi(rho)> - 2 <data, rho> + sum p_hat^2 with Phi the measurement
     channel and data the empirical-operator MPO."""
-    if empirical is None:
-        empirical = empirical_operator(record, povm)
+    empirical = empirical_operator(record, povm)
     channel = sum_channel(povm, state)
     return _loss_from_parts(state, channel, tt_inner(state, empirical).real,
                             _weight_sq(record))
@@ -374,16 +365,23 @@ def project_mpo(raw, ranks, d: int = 2, round_tol: float = None) -> TTTensor:
         raw = DenseOperator.from_matrix(raw, d=d)
     if isinstance(raw, DenseOperator):
         raw = tt_from_dense(raw, target_ranks=cap_ranks(ranks, raw.n, raw.d))
-    return _fused(_project(tt_to_hermitian_coordinates(raw), ranks,
-                           round_tol))
+    return tt_from_hermitian_coordinates(
+        _project(tt_to_hermitian_coordinates(raw), ranks, round_tol))
+
+
+def _coordinate_trace(x: TTTensor) -> float:
+    """The trace of a coordinate TT: the chain of the sums of its
+    diagonal-unit coordinates, which hermitian_basis lists first."""
+    v = np.ones((1, 1))
+    for core in x.cores:
+        v = v @ core[:, :x.d, :].sum(axis=1)
+    return v[0, 0]
 
 
 def _project(x: TTTensor, ranks, round_tol: float = None,
              data: TTTensor = None) -> TTTensor:
     """project_mpo in coordinates, of x plus the right-orthogonal
-    ``data`` when given (tt_round_sum keeps its orthonormal rows).  The
-    trace chains the sums of the diagonal-unit coordinates, which
-    hermitian_basis lists first."""
+    ``data`` when given (tt_round_sum keeps its orthonormal rows)."""
     capped = cap_ranks(ranks, x.n, x.d)
     if data is None:
         x = tt_round(x, target_ranks=capped)
@@ -391,10 +389,7 @@ def _project(x: TTTensor, ranks, round_tol: float = None,
         x = tt_round_sum(x, data, target_ranks=capped)
     if round_tol is not None and x.n > 1:
         x = tt_round(x, truncation_tol=round_tol)
-    v = np.ones((1, 1))
-    for core in x.cores:
-        v = v @ core[:, :x.d, :].sum(axis=1)
-    tr = v[0, 0]
+    tr = _coordinate_trace(x)
     if abs(tr) < TRACE_FLOOR:
         raise NumericalError(
             f"trace {abs(tr):.3e} below {TRACE_FLOOR}; normalization "
@@ -410,14 +405,14 @@ def spectral_init(record, povm: ProductPOVM, ranks) -> TTTensor:
     """Project the rescaled adjoint map K (d^n + 1) / d^n sum p_hat_k A_k
     of the empirical probabilities onto the constraint set."""
     config = EstimatorConfig(init="spectral")
-    return _fused(_initial_state(record, povm, config, ranks))
+    return tt_from_hermitian_coordinates(
+        _initial_state(record, povm, config, ranks))
 
 
 def _random_mpdo(ranks, n: int, d: int, seed: int) -> TTTensor:
     """The random PSD MPO with Kraus bond ceil(sqrt(rbar)) that the
     random start projects."""
-    max_rank = int(np.max(np.atleast_1d(ranks)))
-    kappa = int(np.ceil(np.sqrt(max_rank)))
+    kappa = kappa_for_rank(int(np.max(np.atleast_1d(ranks))))
     return random_mpdo(MPDOGenConfig(n=n, kappa=kappa, purity=10,
                                      seed=seed, d=d))
 
@@ -507,17 +502,21 @@ def _plateaued(losses, window: int, rel_tol: float) -> bool:
     return True
 
 
-def _check_iterate(state: TTTensor):
-    tr = tt_trace(state)
+def _check_iterate(x: TTTensor):
+    """NumericalError unless the coordinate iterate x has finite float64
+    cores and trace 1 within 1e-10; real coordinates make it Hermitian."""
+    for l, core in enumerate(x.cores):
+        if core.dtype != np.float64 or not np.isfinite(core).all():
+            raise NumericalError(f"iterate core {l + 1} is not finite "
+                                 "float64")
+    tr = _coordinate_trace(x)
     if abs(tr - 1.0) > 1e-10:
         raise NumericalError(f"iterate trace {tr} deviates from 1")
-    if not is_hermitian(state, 1e-8):
-        raise NumericalError("iterate lost Hermiticity")
 
 
 def _log_row(log, iteration, loss_val, state, truth, step, t0):
-    err = (recovery_error(_fused(state), truth) if truth is not None
-           else float("nan"))
+    err = (recovery_error(tt_from_hermitian_coordinates(state), truth)
+           if truth is not None else float("nan"))
     log.append(IterateStats(iteration=iteration, loss=loss_val, error=err,
                             step=step,
                             wall_ms=(time.perf_counter() - t0) * 1e3))
@@ -537,8 +536,8 @@ def _descend(record, povm: ProductPOVM, config: EstimatorConfig, truth,
     decomposition or a non-finite loss raises NumericalError naming the
     outer step (iteration or epoch) and its step size.
 
-    Iterates are coordinate TTs; the checks, the rows' error and the
-    returned state see their fused map-back.
+    Iterates are coordinate TTs, and the checks read them as they are;
+    the rows' error and the returned state see their fused map-back.
 
     The loss of each outer step's last iterate is taken before the next
     step starts, so a step may reuse what loss_of computed for its start
@@ -563,7 +562,7 @@ def _descend(record, povm: ProductPOVM, config: EstimatorConfig, truth,
             for state in step(state, k, mu):
                 iterations += 1
                 if config.check_iterates:
-                    _check_iterate(_fused(state))
+                    _check_iterate(state)
             cur_loss = loss_of(state)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
@@ -579,7 +578,8 @@ def _descend(record, povm: ProductPOVM, config: EstimatorConfig, truth,
         if _plateaued(losses, config.plateau_window, config.plateau_rel_tol):
             reason = "loss_plateau"
             break
-    return Estimate(state=_fused(state), trace_log=log,
+    return Estimate(state=tt_from_hermitian_coordinates(state),
+                    trace_log=log,
                     iterations_run=iterations,
                     converged_reason=reason,
                     metadata={"algorithm": algorithm,
@@ -604,7 +604,7 @@ def _tt_pgd(record, povm, config, ranks):
     against E's orthonormal rows.  The loss and the next step share one
     sum_channel per iterate."""
     emp = _empirical_coordinates(record, povm)
-    local = [site.hermitian_coordinates() for site in povm.sites]
+    local = povm.hermitian_coordinates()
     state = _initial_state(record, povm, config, ranks, emp)
     weight_sq = _weight_sq(record)
     channel = None
@@ -635,7 +635,7 @@ def _dense_pgd(record, povm, config, ranks):
 
     def loss_of(rho):
         nonlocal dense, probs
-        dense = tt_to_dense(_fused(rho)).matrix
+        dense = tt_to_dense(tt_from_hermitian_coordinates(rho)).matrix
         probs = np.einsum("kij,ij->k", elements.conj(), dense).real
         return float(((probs - p_hat) ** 2).sum())
 
@@ -657,7 +657,8 @@ def _zero_outcome_filler(povm: ProductPOVM, nonzero, count: int,
 
     Up to 2^20 outcomes, the pool is every outcome outside ``nonzero`` in
     lexicographic order, and ``count`` of them are drawn without
-    replacement; beyond that, outcomes are drawn by rejection."""
+    replacement; beyond that, outcomes are drawn by rejection, the rows
+    still needed as one block per pass."""
     k_locs = povm.k_locs
     if count <= 0:
         return np.zeros((0, povm.n), dtype=np.intp)
@@ -670,16 +671,19 @@ def _zero_outcome_filler(povm: ProductPOVM, nonzero, count: int,
         chosen = rng.choice(len(pool), size=take, replace=False)
         picked = np.unravel_index(pool[np.sort(chosen)], k_locs)
         return np.stack(picked, axis=1) + 1
-    # each draw is its own rng call, so that the draws stay those of the
-    # seed whatever the count
+    # Generator.integers takes each entry from the same 32-bit stream
+    # whatever the call's shape, and a block of the rows still needed ends
+    # no later than a row-by-row loop would: the draws and the generator
+    # state after them are those of one call per row
     chosen = []
     seen = set(map(tuple, np.asarray(nonzero).tolist()))
+    high = np.array(k_locs) + 1
     while len(chosen) < count:
-        draw = rng.integers(1, np.array(k_locs) + 1)
-        outcome = tuple(int(i) for i in draw)
-        if outcome not in seen:
-            seen.add(outcome)
-            chosen.append(outcome)
+        block = rng.integers(1, high, size=(count - len(chosen), povm.n))
+        for outcome in map(tuple, block.tolist()):
+            if outcome not in seen:
+                seen.add(outcome)
+                chosen.append(outcome)
     return np.array(chosen, dtype=np.intp)
 
 
@@ -720,7 +724,7 @@ def _psgd(record, povm, config, ranks):
         n_epoch = min(max(10 * d * d * n * max_rank ** 2, n_obs),
                       povm.k_total)
     batch = min(config.batch_size, n_epoch)
-    local = [site.hermitian_coordinates() for site in povm.sites]
+    local = povm.hermitian_coordinates()
     state = _initial_state(record, povm, config, ranks)
     weight_sq = _weight_sq(record)
 

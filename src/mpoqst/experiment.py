@@ -12,7 +12,6 @@ scheduling.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -26,8 +25,8 @@ from . import __version__
 from .estimator import EstimatorConfig, pgd, preset_schedule, psgd, recovery_error
 from .povm import ProductPOVM, gamma
 from .sampling import sample_sequential
-from .states import MPDOGenConfig, random_mpdo
-from .tt import _json_int
+from .states import MPDOGenConfig, kappa_for_rank, random_mpdo
+from .tt import _json_int, _json_sha256
 
 CSV_COLUMNS = ["n", "shots", "rank", "init", "algorithm", "seed_index",
                "state_seed", "noise_seed", "init_error", "final_error",
@@ -104,8 +103,7 @@ class ExperimentSpec:
         return cls(**data)
 
     def sha256(self) -> str:
-        blob = json.dumps(self.to_json_dict(), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return _json_sha256(self.to_json_dict())
 
 
 @dataclass
@@ -128,15 +126,13 @@ class ResultRow:
 
 
 def derived_seed(base_seed: int, *parts) -> int:
-    """Deterministic 63-bit seed from the base seed and cell coordinates."""
-    blob = json.dumps([base_seed, *parts], sort_keys=True)
-    digest = hashlib.sha256(blob.encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
+    """Deterministic 63-bit seed from the base seed and cell coordinates:
+    the first 8 digest bytes, big-endian, shifted right by one."""
+    return int(_json_sha256([base_seed, *parts])[:16], 16) >> 1
 
 
 def cell_key(cell: dict) -> str:
-    blob = json.dumps(cell, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return _json_sha256(cell)[:16]
 
 
 def iter_cells(spec: ExperimentSpec):
@@ -153,11 +149,8 @@ def iter_cells(spec: ExperimentSpec):
 
 
 def _truth_state(spec: ExperimentSpec, cell: dict, state_seed: int):
-    rank = cell["rank"]
-    kappa = int(round(np.sqrt(rank)))
-    if kappa * kappa != rank:
-        kappa = int(np.ceil(np.sqrt(rank)))
-    return random_mpdo(MPDOGenConfig(n=cell["n"], kappa=kappa,
+    return random_mpdo(MPDOGenConfig(n=cell["n"],
+                                     kappa=kappa_for_rank(cell["rank"]),
                                      purity=spec.purity, seed=state_seed))
 
 
@@ -210,15 +203,16 @@ def _provenance(spec: ExperimentSpec) -> str:
     return f"# mpoqst {__version__} spec_sha256={spec.sha256()} seed={spec.base_seed}"
 
 
-def _write_results_csv(spec: ExperimentSpec, rows: list, path: str) -> None:
-    rows = sorted(rows, key=lambda r: (r.n, r.shots, r.rank, r.init,
-                                       r.algorithm, r.seed_index))
+def _write_table(spec: ExperimentSpec, columns: list, records,
+                 path: str) -> None:
+    """A CSV file: the provenance comment, the header, then one line per
+    record (a dict), in the order of the iterable ``records``."""
     with open(path, "w", newline="") as fh:
         fh.write(_provenance(spec) + "\n")
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, c)) for c in CSV_COLUMNS])
+        writer.writerow(columns)
+        for record in records:
+            writer.writerow([_fmt(record[c]) for c in columns])
 
 
 def aggregate_medians(rows: list) -> list:
@@ -240,15 +234,6 @@ def aggregate_medians(rows: list) -> list:
             "all_converged": all(r.converged for r in cell_rows),
         })
     return out
-
-
-def _write_medians_csv(spec: ExperimentSpec, medians: list, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_provenance(spec) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(MEDIAN_COLUMNS)
-        for med in medians:
-            writer.writerow([_fmt(med[c]) for c in MEDIAN_COLUMNS])
 
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -363,10 +348,12 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> dict:
             data = json.load(fh)
         rows.append(ResultRow(**data["row"]))
     results_path = os.path.join(out_dir, "results.csv")
-    _write_results_csv(spec, rows, results_path)
+    ordered = sorted(rows, key=lambda r: (r.n, r.shots, r.rank, r.init,
+                                          r.algorithm, r.seed_index))
+    _write_table(spec, CSV_COLUMNS, map(asdict, ordered), results_path)
     medians = aggregate_medians(rows)
     medians_path = os.path.join(out_dir, "medians.csv")
-    _write_medians_csv(spec, medians, medians_path)
+    _write_table(spec, MEDIAN_COLUMNS, medians, medians_path)
     with open(os.path.join(out_dir, "provenance.json"), "w") as fh:
         json.dump({"version": __version__, "spec_sha256": spec.sha256(),
                    "seed": spec.base_seed,

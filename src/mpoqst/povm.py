@@ -8,8 +8,6 @@ the Born rule p_k = <A_k, rho> = trace(A_k rho).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
@@ -23,8 +21,10 @@ from .tt import (
     TTTensor,
     _check_dense_cap,
     _complex_from_json,
+    _complex_to_json,
     _json_int,
     _json_list,
+    _json_sha256,
     fuse_local_operator,
     fuse_dense_to_tensor,
     hermitian_basis,
@@ -151,6 +151,12 @@ class ProductPOVM:
     @property
     def k_locs(self) -> tuple:
         return tuple(s.k_loc for s in self.sites)
+
+    def hermitian_coordinates(self) -> list:
+        """Per site, the (k_loc, d*d) real coordinate rows of
+        LocalPOVM.hermitian_coordinates (ValueError when an element is
+        not Hermitian)."""
+        return [site.hermitian_coordinates() for site in self.sites]
 
     def identifier(self) -> str:
         return povm_id(self)
@@ -465,6 +471,11 @@ def clamp_probabilities(p: np.ndarray, tol: float = PROB_CLAMP_TOL):
 
 
 def _real_with_residue_check(values: np.ndarray, tol: float = 1e-10):
+    """The real part of computed probabilities; NumericalError when one is
+    not finite or has an imaginary part above tol."""
+    if not np.isfinite(values).all():
+        raise NumericalError(
+            "non-finite probability; the state's cores overflow")
     worst = float(np.abs(np.asarray(values).imag).max()) if np.size(values) else 0.0
     if worst > tol:
         raise NumericalError(
@@ -650,6 +661,9 @@ def gamma(povm: ProductPOVM, state: TTTensor, method: str = "exhaustive",
         # would round the marginals differently
         vecs = np.einsum("br,krs->bks", lefts, trans)
         margs = (vecs @ env).real.reshape(-1)
+        if not np.isfinite(margs).all():
+            raise NumericalError(
+                "non-finite prefix marginal; the state's cores overflow")
         prefixes = np.column_stack([
             np.repeat(prefixes, k_loc, axis=0),
             np.tile(np.arange(1, k_loc + 1), len(lefts))])
@@ -686,10 +700,6 @@ def sum_channel(povm: ProductPOVM, state: TTTensor, local=None) -> TTTensor:
 # serialization
 
 
-def _matrix_to_json(m: np.ndarray):
-    return np.stack([m.real, m.imag], axis=-1).tolist()
-
-
 def _matrix_from_json(raw, shape: tuple) -> np.ndarray:
     """Complex array of the given shape from nested [re, im] pairs of
     finite JSON numbers; ValueError on any other shape or entry."""
@@ -702,7 +712,7 @@ def _matrix_from_json(raw, shape: tuple) -> np.ndarray:
 
 def local_povm_to_json_dict(povm: LocalPOVM) -> dict:
     return {"d": povm.d,
-            "elements": [_matrix_to_json(e) for e in povm.elements]}
+            "elements": [_complex_to_json(e) for e in povm.elements]}
 
 
 def local_povm_from_json_dict(data: dict) -> LocalPOVM:
@@ -735,9 +745,9 @@ def product_povm_from_json_dict(data: dict) -> ProductPOVM:
 
 def dense_povm_to_json_dict(povm: DensePOVM) -> dict:
     out = {"dim": povm.dim,
-           "elements": [_matrix_to_json(e) for e in povm.elements]}
+           "elements": [_complex_to_json(e) for e in povm.elements]}
     if povm.vectors is not None:
-        out["vectors"] = [_matrix_to_json(v) for v in povm.vectors]
+        out["vectors"] = [_complex_to_json(v) for v in povm.vectors]
     return out
 
 
@@ -778,8 +788,7 @@ def povm_from_json_dict(data: dict):
 
 def povm_id(povm) -> str:
     """Stable short identifier derived from the serialized form."""
-    blob = json.dumps(povm_to_json_dict(povm), sort_keys=True)
-    digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
+    digest = _json_sha256(povm_to_json_dict(povm))[:12]
     if isinstance(povm, ProductPOVM):
         return f"product-n{povm.n}-d{povm.d}-{digest}"
     if isinstance(povm, DensePOVM):

@@ -194,9 +194,6 @@ class _Record:
         """Empirical probabilities p_hat keyed by outcome."""
         return OutcomeView(self.outcomes, self.p_hat)
 
-    def nonzero_outcomes(self) -> list:
-        return list(map(tuple, self.outcomes.tolist()))
-
 
 class OutcomeRecord(_Record):
     """Sparse multiset of observed outcomes: count f_k of each distinct
@@ -245,18 +242,6 @@ class PopulationRecord(_Record):
     @property
     def p_hat(self) -> np.ndarray:
         return self.values
-
-
-def empirical_probability(record, outcome) -> float:
-    """p-hat for one outcome; absent keys are 0."""
-    key = tuple(int(i) for i in outcome)
-    if isinstance(record, OutcomeRecord):
-        return record.counts.get(key, 0) / record.m_shots
-    return record.probs.get(key, 0.0)
-
-
-def nonzero_outcomes(record) -> list:
-    return record.nonzero_outcomes()
 
 
 def _flat_outcomes(flat: np.ndarray, shape: tuple) -> np.ndarray:

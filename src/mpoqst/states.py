@@ -14,6 +14,7 @@ sums and divided out as trace^{-1/n} per core.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +24,26 @@ from .tt import NumericalError, TTTensor, fuse_index, tt_inner, tt_trace
 # Offset used to derive the one retry seed on a non-positive trace draw.
 _RESEED_OFFSET = 0x9E3779B9
 
+# Largest Kraus-term count, and largest entry count of one site's Kraus
+# draw (d * purity * kappa^2) and of one MPO core (d^2 kappa^4): beyond
+# them a draw asks numpy for gigabytes at once.
+MAX_PURITY = 10 ** 4
+MAX_SITE_ENTRIES = 2 ** 22
+
+
+def kappa_for_rank(rank: int) -> int:
+    """The smallest Kraus bond kappa whose MPO bond kappa^2 reaches rank
+    (ceil(sqrt(rank)) in integers)."""
+    return math.isqrt(rank - 1) + 1
+
 
 @dataclass(frozen=True)
 class MPDOGenConfig:
     """Random-MPDO generator parameters.
 
     kappa is the Kraus bond dimension (MPO bond = kappa^2); purity >= 1
-    sets the number of Kraus terms per site (1 = pure state).
+    sets the number of Kraus terms per site (1 = pure state).  ValueError
+    beyond MAX_PURITY or MAX_SITE_ENTRIES.
     """
 
     n: int
@@ -45,6 +59,29 @@ class MPDOGenConfig:
             raise ValueError("kappa must be >= 1")
         if self.purity < 1:
             raise ValueError("purity must be >= 1")
+        if self.purity > MAX_PURITY:
+            raise ValueError(f"purity must be <= {MAX_PURITY}")
+        draw = self.d * self.purity * self.kappa ** 2
+        core = (self.d * self.kappa ** 2) ** 2
+        if max(draw, core) > MAX_SITE_ENTRIES:
+            raise ValueError(
+                f"a site's Kraus draw ({draw} entries) or MPO core ({core}) "
+                f"exceeds {MAX_SITE_ENTRIES} entries; lower kappa or purity")
+
+
+def _kraus_core(a_cores: np.ndarray) -> np.ndarray:
+    """The MPO core X^{i,j} = sum_a A^{i,a} (x) conj(A^{j,a}) of Kraus
+    cores a_cores[i, a], each a (kl_left, kl_right) matrix: rows (p p'),
+    fused physical i + d*j, columns (q q')."""
+    d, kl, kl_left, kl_right = a_cores.shape
+    # x[j, i, p, p', q, q'] = sum_a A^{i,a}[p, q] conj(A^{j,a}[p', q']);
+    # adding the terms in order of a keeps every seeded draw bit for bit
+    x = np.zeros((d, d, kl_left, kl_left, kl_right, kl_right), dtype=complex)
+    for a in range(kl):
+        x += (a_cores[None, :, a, :, None, :, None]
+              * a_cores[:, None, a, None, :, None, :].conj())
+    return x.transpose(2, 3, 0, 1, 4, 5).reshape(
+        kl_left ** 2, d * d, kl_right ** 2)
 
 
 def _draw_mpdo(config: MPDOGenConfig, seed: int) -> TTTensor:
@@ -54,19 +91,9 @@ def _draw_mpdo(config: MPDOGenConfig, seed: int) -> TTTensor:
     for l in range(n):
         kl_left = 1 if l == 0 else kappa
         kl_right = 1 if l == n - 1 else kappa
-        # a_cores[i, a] is a (kl_left, kl_right) matrix
-        a_cores = (rng.uniform(-1.0, 1.0, size=(d, kl, kl_left, kl_right))
-                   + 1j * rng.uniform(-1.0, 1.0, size=(d, kl, kl_left, kl_right)))
-        # x[j, i, p, p', q, q'] = sum_a A^{i,a}[p, q] conj(A^{j,a}[p', q']);
-        # adding the terms in order of a keeps every seeded draw bit for bit
-        x = np.zeros((d, d, kl_left, kl_left, kl_right, kl_right),
-                     dtype=complex)
-        for a in range(kl):
-            x += (a_cores[None, :, a, :, None, :, None]
-                  * a_cores[:, None, a, None, :, None, :].conj())
-        # rows (p p'), fused physical i + d*j, columns (q q')
-        cores.append(x.transpose(2, 3, 0, 1, 4, 5).reshape(
-            kl_left ** 2, d * d, kl_right ** 2))
+        size = (d, kl, kl_left, kl_right)
+        cores.append(_kraus_core(rng.uniform(-1.0, 1.0, size=size)
+                                 + 1j * rng.uniform(-1.0, 1.0, size=size)))
     return TTTensor(tuple(cores), d=d)
 
 
@@ -120,33 +147,18 @@ def pure_product(bits: str, d: int = 2) -> TTTensor:
 
 
 def ghz_density(n: int) -> TTTensor:
-    """|GHZ><GHZ| on n qubits, built from the bond-2 pure-state chain (the
-    density MPO carries the squared bond, rank 4 internally)."""
+    """|GHZ><GHZ| on n qubits: the Kraus cores of one term (purity 1) are
+    the bond-2 chain psi(b_1..b_n) = M_1[b_1] ... M_n[b_n] with M[b] =
+    |b><b| (a row at the first site, a column at the last), and the density
+    MPO carries the squared bond, rank 4 internally."""
     if n < 2:
         raise ValueError("GHZ needs n >= 2")
-    # Pure-state MPS cores: psi(b_1..b_n) = M_1[b_1] ... M_n[b_n]
-    mps = []
-    for l in range(n):
-        m = np.zeros((2, 1 if l == 0 else 2, 1 if l == n - 1 else 2),
-                     dtype=complex)
-        if l == 0:
-            m[0, 0, 0] = 1.0
-            m[1, 0, 1] = 1.0
-        elif l == n - 1:
-            m[0, 0, 0] = 1.0
-            m[1, 1, 0] = 1.0
-        else:
-            m[0, 0, 0] = 1.0
-            m[1, 1, 1] = 1.0
-        mps.append(m)
     cores = []
-    for l, m in enumerate(mps):
-        rl, rr = m.shape[1], m.shape[2]
-        core = np.zeros((rl * rl, 4, rr * rr), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                core[:, fuse_index(i, j, 2), :] = np.kron(m[i], m[j].conj())
-        if l == 0:
-            core = core / 2.0  # normalization (|GHZ> has norm sqrt(2) here)
-        cores.append(core)
+    for l in range(n):
+        m = np.zeros((2, 1, 1 if l == 0 else 2, 1 if l == n - 1 else 2),
+                     dtype=complex)
+        for b in range(2):
+            m[b, 0, 0 if l == 0 else b, 0 if l == n - 1 else b] = 1.0
+        cores.append(_kraus_core(m))
+    cores[0] = cores[0] / 2.0  # |GHZ> has norm sqrt(2) here
     return TTTensor(tuple(cores), d=2)

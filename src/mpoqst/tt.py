@@ -21,6 +21,7 @@ never alias their arguments' core data.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -221,9 +222,7 @@ def _choose_rank(s: np.ndarray, cap, per_cut_budget):
     r = len(s)
     while r > 1 and tail[r - 1] <= budget:
         r -= 1
-    if tail[r - 1] > budget:
-        return r
-    return max(1, r)
+    return r
 
 
 def tt_from_dense(dense, target_ranks=None, truncation_tol=None,
@@ -380,12 +379,12 @@ def _orthogonalize_left(cores: list, dd: int) -> None:
         cores[l + 1] = np.tensordot(rmat, cores[l + 1], axes=[[1], [0]])
 
 
-def tt_from_hermitian_coordinates(cores, d: int) -> TTTensor:
-    """The TTTensor of real cores (r, d*d, r') whose physical leg holds
+def tt_from_hermitian_coordinates(x: TTTensor) -> TTTensor:
+    """The fused operator of a real TT whose physical legs hold
     coordinates in :func:`hermitian_basis`: each core's leg is mapped
     back by U."""
-    u_t = hermitian_basis(d).T
-    return TTTensor(tuple(u_t @ core for core in cores), d=d)
+    u_t = hermitian_basis(x.d).T
+    return TTTensor(tuple(u_t @ core for core in x.cores), d=x.d)
 
 
 def tt_to_hermitian_coordinates(a: TTTensor) -> TTTensor:
@@ -614,7 +613,7 @@ def random_tt(n: int, d: int, ranks, seed: int, hermitian: bool = False) -> TTTe
 def tt_to_json_dict(tt: TTTensor) -> dict:
     """JSON container {n, d, ranks, cores}; core entries are [re, im] pairs
     in (left-rank, fused-physical, right-rank) index order."""
-    cores = [np.stack([c.real, c.imag], axis=-1).tolist() for c in tt.cores]
+    cores = [_complex_to_json(c) for c in tt.cores]
     return {"n": tt.n, "d": tt.d, "ranks": list(tt.ranks), "cores": cores}
 
 
@@ -629,6 +628,17 @@ def _json_list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a JSON list")
     return value
+
+
+def _json_sha256(data) -> str:
+    """Hex sha256 of ``data`` as JSON with sorted keys: the one digest
+    behind provenance hashes, derived seeds and identifiers."""
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def _complex_to_json(values: np.ndarray) -> list:
+    """Nested list of [re, im] pairs, the inverse of _complex_from_json."""
+    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
 def _complex_from_json(raw, what: str) -> np.ndarray:

@@ -774,6 +774,57 @@ def test_measure_non_finite_masses_exit_2(workspace):
     assert not (workspace / "rec.json").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["gamma"], ["gamma", "--method", "beam"], ["measure", "--exact"],
+    ["measure", "--sampler", "enumerate"]],
+    ids=["gamma", "gamma-beam", "measure-exact", "measure-enumerate"])
+def test_non_finite_measurement_outputs_exit_2(workspace, args):
+    # on cores scaled by 1e120, gamma printed "gamma": NaN and measure
+    # --exact wrote NaN probabilities, both exiting 0; the enumeration
+    # sampler exited 1 with numpy's message on the pvals
+    state = random_mpdo(MPDOGenConfig(n=4, kappa=2, purity=10, seed=1))
+    payload = tt_to_json_dict(state)
+    payload["cores"] = [(np.array(c) * 1e120).tolist()
+                        for c in payload["cores"]]
+    path = workspace / "big.json"
+    path.write_text(json.dumps(payload))
+    out = workspace / "out.json"
+    with np.errstate(all="ignore"):
+        code, err = _cli([args[0], "--state", path, *args[1:], "--out", out])
+    assert code == 2
+    assert err.startswith("numerical failure:") and "non-finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, limit", [
+    ("--purity", 10 ** 15, "10000"), ("--kappa", 3000, "4194304")])
+def test_generate_rejects_oversized_draws(workspace, flag, value, limit):
+    # both asked numpy for the whole draw and ended in an
+    # _ArrayMemoryError traceback
+    code, err = _cli(["generate", "--n", 2, flag, value])
+    assert code == 1
+    assert err.startswith("input error:") and limit in err
+    assert not (workspace / "state.json").exists()
+
+
+_GEN_SIZE = st.one_of(st.integers(-2, 3), st.integers(3000, 2 ** 80),
+                      st.text(max_size=3))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.one_of(st.integers(-2, 3), st.text(max_size=3)),
+       kappa=_GEN_SIZE, purity_=_GEN_SIZE,
+       seed=st.one_of(st.integers(-5, 5), st.integers(2 ** 62, 2 ** 80),
+                      st.text(max_size=3)))
+def test_generate_arguments_never_traceback(n, kappa, purity_, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _cli(["generate", "--n", n, "--kappa", kappa,
+                          "--purity", purity_, "--seed", seed,
+                          "--out", os.path.join(tmp, "state.json")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("vectors", [[], [[]], [[[1, 0, 3]]]])
 def test_check_design_rejects_malformed_vectors(workspace, vectors):
     # [] and [[]] ended in an IndexError traceback; [[[1, 0, 3]]] was

@@ -47,6 +47,7 @@ from mpoqst.states import MPDOGenConfig, maximally_mixed, random_mpdo
 from mpoqst.tt import (
     DenseOperator,
     NumericalError,
+    TTTensor,
     cap_ranks,
     hermitian_basis,
     is_hermitian,
@@ -54,6 +55,7 @@ from mpoqst.tt import (
     random_tt,
     tt_add,
     tt_adjoint,
+    tt_from_hermitian_coordinates,
     tt_inner,
     tt_norm,
     tt_right_orthogonalize,
@@ -62,6 +64,7 @@ from mpoqst.tt import (
     tt_scale,
     tt_sub,
     tt_to_dense,
+    tt_to_hermitian_coordinates,
     tt_trace,
     tt_zeros,
 )
@@ -148,8 +151,9 @@ def test_trie_cores_match_tuple_set_builder(n):
     for local in ([site.hermitian_coordinates() for site in povm.sites],
                   [site.fused() for site in povm.sites]):
         got = _trie_cores(rec.outcomes, rec.p_hat, povm, local)
-        want = _trie_cores_by_tuple_sets(rec.nonzero_outcomes(),
-                                         list(rec.p_hat), povm, local)
+        want = _trie_cores_by_tuple_sets(
+            list(map(tuple, rec.outcomes.tolist())), list(rec.p_hat), povm,
+            local)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -711,18 +715,16 @@ def _complex_psgd_iterates(record, povm, config, n_epoch, batch):
 
 
 def _run_iterates(runner, record, povm, config, monkeypatch):
-    """A run's start and every iterate, as the fused map-backs that the
-    iterate checks see, and the run's metadata.  Asserts that every
+    """A run's start and every iterate that the iterate checks see, mapped
+    back to fused form, and the run's metadata.  Asserts that every
     coordinate iterate has float64 cores."""
-    to_fused = estimator._fused
-
-    def fused(x):
-        assert all(core.dtype == np.float64 for core in x.cores)
-        return to_fused(x)
-
     seen = []
-    monkeypatch.setattr(estimator, "_fused", fused)
-    monkeypatch.setattr(estimator, "_check_iterate", seen.append)
+
+    def capture(x):
+        assert all(core.dtype == np.float64 for core in x.cores)
+        seen.append(tt_from_hermitian_coordinates(x))
+
+    monkeypatch.setattr(estimator, "_check_iterate", capture)
     start = runner(record, povm, dataclasses.replace(
         config, max_iters=0, max_epochs=0)).state
     out = runner(record, povm, dataclasses.replace(config,
@@ -807,6 +809,32 @@ def test_pgd_iterate_invariants_every_step():
     out = pgd(rec, povm, config, truth=rho)  # raises if any iterate drifts
     assert abs(tt_trace(out.state) - 1.0) < 1e-10
     assert is_hermitian(out.state, 1e-8)
+
+
+def _coordinate_iterate(n=3):
+    return estimator._project(tt_to_hermitian_coordinates(_mpdo(n, seed=49)),
+                              4)
+
+
+def test_check_iterate_passes_a_projected_iterate():
+    estimator._check_iterate(_coordinate_iterate())
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("trace", "trace"), ("nan", "not finite"), ("complex", "float64")])
+def test_check_iterate_names_the_fault(fault, message):
+    x = _coordinate_iterate()
+    if fault == "trace":
+        x = tt_scale(x, 1.0 + 1e-9)
+    else:
+        cores = [np.array(c) for c in x.cores]
+        if fault == "nan":
+            cores[1][0, 0, 0] = np.nan
+        else:
+            cores[1] = cores[1] * (1.0 + 0j)
+        x = TTTensor(tuple(cores), d=x.d)
+    with pytest.raises(NumericalError, match=message):
+        estimator._check_iterate(x)
 
 
 def test_pgd_divergence_reports_iteration():
@@ -950,6 +978,36 @@ def test_zero_outcome_filler_empty_pool():
     want = _filler_by_enumeration(povm, set(every), 5, _philox(3))
     got = _zero_outcome_filler(povm, every, 5, _philox(3))
     assert want == [] and got.shape == (0, povm.n)
+
+
+def _filler_by_row_calls(povm, nonzero, count, rng):
+    """The K > 2^20 branch of _zero_outcome_filler as it drew before its
+    block draws, one rng call per row, frozen as a reference."""
+    chosen = []
+    seen = set(map(tuple, np.asarray(nonzero).tolist()))
+    while len(chosen) < count:
+        draw = rng.integers(1, np.array(povm.k_locs) + 1)
+        outcome = tuple(int(i) for i in draw)
+        if outcome not in seen:
+            seen.add(outcome)
+            chosen.append(outcome)
+    return chosen
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["sic", "pauli6-sic"])
+@pytest.mark.parametrize("count", [1, 700, 5000])
+def test_zero_outcome_filler_blocks_draw_as_row_calls(mixed, count):
+    # K = 4^11 and 4^6 6^5 are both past the 2^20 enumeration limit
+    local = [_pauli6() if mixed and l % 2 else sic_qubit() for l in range(11)]
+    povm = ProductPOVM(sites=tuple(local))
+    rec = sample_sequential(povm, _mpdo(11, seed=78), 3000, seed=79)
+    rng_want, rng_got = _philox(count), _philox(count)
+    want = _filler_by_row_calls(povm, rec.outcomes, count, rng_want)
+    got = _zero_outcome_filler(povm, rec.outcomes, count, rng_got)
+    assert got.tolist() == [list(o) for o in want]
+    assert got.dtype.kind == "i"
+    assert np.array_equal(rng_got.permutation(3000 + count),
+                          rng_want.permutation(3000 + count))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,6 @@ from mpoqst.sampling import (
     _count_rows,
     _index_dtype,
     _stream,
-    empirical_probability,
-    nonzero_outcomes,
     population_record,
     record_from_json_dict,
     record_to_json_dict,
@@ -79,9 +77,9 @@ def test_record_invariants():
 def test_empirical_probability_accessors():
     rec = OutcomeRecord(counts={(1, 1): 3, (2, 1): 9}, m_shots=12,
                         povm_id="x", seed=0)
-    assert empirical_probability(rec, (1, 1)) == 0.25
-    assert empirical_probability(rec, (4, 4)) == 0.0
-    assert nonzero_outcomes(rec) == [(1, 1), (2, 1)]
+    assert rec.weights()[(1, 1)] == 0.25
+    assert rec.weights().get((4, 4), 0.0) == 0.0
+    assert list(rec.counts) == [(1, 1), (2, 1)]
     assert sum(rec.weights().values()) == 1.0
 
 
@@ -107,7 +105,7 @@ def test_enumerate_qubit_sic_frequencies():
     state = DenseOperator.from_matrix(np.eye(2) / 2)
     rec = sample_enumerate(povm, state, 10 ** 5, seed=7)
     for k in range(1, 5):
-        assert abs(empirical_probability(rec, (k,)) - 0.25) <= 0.01
+        assert abs(rec.weights().get((k,), 0.0) - 0.25) <= 0.01
 
 
 def test_enumerate_seed_determinism():
@@ -295,7 +293,7 @@ def test_population_record_mass_and_fetch():
     rec = population_record(povm, state)
     assert abs(sum(rec.weights().values()) - 1.0) < 1e-8
     probs = probability_tensor(povm, state)
-    assert abs(empirical_probability(rec, (1, 1, 1)) - probs[0, 0, 0]) < 1e-12
+    assert abs(rec.probs[(1, 1, 1)] - probs[0, 0, 0]) < 1e-12
 
 
 # ---------------------------------------------------------------------------

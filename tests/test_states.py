@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpoqst.states import (
+    MAX_PURITY,
+    MAX_SITE_ENTRIES,
     MPDOGenConfig,
     _draw_mpdo,
     ghz_density,
+    kappa_for_rank,
     maximally_mixed,
     pure_product,
     purity,
@@ -65,6 +68,35 @@ def test_config_validation():
         MPDOGenConfig(n=2, kappa=0)
     with pytest.raises(ValueError):
         MPDOGenConfig(n=2, purity=0)
+
+
+@pytest.mark.parametrize("kappa, purity_, d, limit", [
+    (1, MAX_PURITY + 1, 2, str(MAX_PURITY)),
+    (1, 10 ** 15, 2, str(MAX_PURITY)),
+    (3000, 10, 2, str(MAX_SITE_ENTRIES)),  # the core
+    (15, MAX_PURITY, 2, str(MAX_SITE_ENTRIES)),  # the Kraus draw
+])
+def test_config_rejects_draws_beyond_the_caps(kappa, purity_, d, limit):
+    # both used to end in numpy's _ArrayMemoryError
+    with pytest.raises(ValueError, match=limit):
+        MPDOGenConfig(n=2, kappa=kappa, purity=purity_, d=d)
+
+
+def test_config_accepts_the_sizes_in_use():
+    for kappa in (1, 2, 3):
+        for purity_ in (1, 10, MAX_PURITY):
+            MPDOGenConfig(n=16, kappa=kappa, purity=purity_, d=3)
+
+
+def test_kappa_for_rank_matches_the_float_rules():
+    # the rule of the random start, ceil(sqrt(max rank)), and of the
+    # experiment truths, round(sqrt) when exact and ceil(sqrt) otherwise
+    for rank in range(1, 20001):
+        root = np.sqrt(rank)
+        truth = int(round(root))
+        if truth * truth != rank:
+            truth = int(np.ceil(root))
+        assert kappa_for_rank(rank) == int(np.ceil(root)) == truth
 
 
 def test_pure_draw_has_unit_norm():
@@ -149,6 +181,36 @@ def test_pure_product_pattern():
 def test_pure_product_rejects_bad_digit():
     with pytest.raises(ValueError):
         pure_product("02")
+
+
+def _ghz_kron_loop(n):
+    """The hand-built chain and per-(i, j) np.kron cores that ghz_density
+    replaced, frozen as a reference."""
+    cores = []
+    for l in range(n):
+        m = np.zeros((2, 1 if l == 0 else 2, 1 if l == n - 1 else 2),
+                     dtype=complex)
+        if l == 0:
+            m[0, 0, 0] = m[1, 0, 1] = 1.0
+        elif l == n - 1:
+            m[0, 0, 0] = m[1, 1, 0] = 1.0
+        else:
+            m[0, 0, 0] = m[1, 1, 1] = 1.0
+        rl, rr = m.shape[1], m.shape[2]
+        core = np.zeros((rl * rl, 4, rr * rr), dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                core[:, fuse_index(i, j, 2), :] = np.kron(m[i], m[j].conj())
+        cores.append(core / 2.0 if l == 0 else core)
+    return cores
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_ghz_matches_the_kron_loop(n):
+    got = ghz_density(n).cores
+    want = _ghz_kron_loop(n)
+    assert all(g.dtype == w.dtype and np.array_equal(g, w)
+               for g, w in zip(got, want))
 
 
 def test_ghz_density_matrix():

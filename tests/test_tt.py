@@ -323,7 +323,7 @@ def test_hermitian_basis_is_real_orthonormal(d):
 def test_tt_from_hermitian_coordinates_maps_the_physical_leg():
     rng = np.random.default_rng(24)
     cores = [rng.standard_normal(s) for s in [(1, 9, 3), (3, 9, 2), (2, 9, 1)]]
-    got = tt_from_hermitian_coordinates(cores, d=3)
+    got = tt_from_hermitian_coordinates(TTTensor(tuple(cores), d=3))
     u = hermitian_basis(3)
     want = TTTensor(tuple(np.einsum("ras,at->rts", c, u) for c in cores),
                     d=3)
@@ -339,7 +339,7 @@ def test_tt_to_hermitian_coordinates_gives_the_hermitian_part(n, ranks):
     assert x.ranks == tuple(2 * r if 0 < l < n else 1
                             for l, r in enumerate(a.ranks))
     m = dense(a)
-    back = tt_from_hermitian_coordinates(x.cores, d=3)
+    back = tt_from_hermitian_coordinates(x)
     assert np.abs(dense(back) - (m + m.conj().T) / 2).max() \
         <= 1e-13 * np.abs(m).max()
 
