@@ -61,8 +61,6 @@ from .estimator import (  # noqa: F401
     Estimate,
     EstimatorConfig,
     STEP_PRESETS,
-    admissible_init_radius,
-    admissible_step_interval,
     empirical_operator,
     loss,
     pgd,

@@ -15,11 +15,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 from . import __version__
 from .estimator import (
     EstimatorConfig,
+    IterateStats,
     pgd,
     psgd,
     recovery_error,
@@ -46,12 +47,12 @@ from .sampling import (
     write_record_json,
 )
 from .states import MPDOGenConfig, purity, random_mpdo
-from .experiment import ExperimentSpec, run_experiment
+from .experiment import ExperimentSpec, _write_table, run_experiment
 from .tt import (
     NumericalError,
     _complex_from_json,
     _json_sha256,
-    tt_from_json_dict,
+    load_tt,
     tt_to_json_dict,
     tt_trace,
 )
@@ -90,12 +91,6 @@ def _load_povm(label: str, n: int = None):
     return povm
 
 
-def _load_state(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    return tt_from_json_dict(data["state"] if "state" in data else data)
-
-
 def cmd_generate(args) -> int:
     config = MPDOGenConfig(n=args.n, kappa=args.kappa, purity=args.purity,
                            seed=args.seed)
@@ -114,7 +109,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    state = _load_state(args.state)
+    state = load_tt(args.state)
     povm = _load_povm(args.povm, n=state.n)
     t0 = time.perf_counter()
     if args.exact:
@@ -153,29 +148,20 @@ def cmd_estimate(args) -> int:
     overrides = {}
     if args.config:
         with open(args.config) as fh:
-            overrides = json.load(fh)
-        if not isinstance(overrides, dict):
-            raise ValueError(f"config {args.config} is not a JSON object")
-        if "init_state" in overrides:
-            raise ValueError("init_state cannot be set in a config file; "
-                             "use --init-state")
+            overrides = EstimatorConfig.json_fields(
+                json.load(fh), f"config {args.config}")
     overrides.setdefault("backend", args.backend)
     if args.init_state:
-        overrides["init"] = "provided"
+        overrides.update(init="provided", init_state=load_tt(args.init_state))
     config = EstimatorConfig(**overrides)
-    if args.init_state:
-        config.init_state = _load_state(args.init_state)
-    truth = _load_state(args.truth) if args.truth else None
+    truth = load_tt(args.truth) if args.truth else None
     runner = psgd if args.algorithm == "psgd" else pgd
     estimate = runner(record, povm, config, truth=truth)
-    base = args.out
-    trace_path = base + ".trace.csv"
-    with open(trace_path, "w") as fh:
-        fh.write(f"# mpoqst {__version__}\n")
-        fh.write("iter,loss,error,step,wall_ms\n")
-        for row in estimate.trace_log:
-            fh.write("%d,%.12g,%.12g,%.12g,%.12g\n" % (
-                row.iteration, row.loss, row.error, row.step, row.wall_ms))
+    trace_path = args.out + ".trace.csv"
+    columns = [f.name for f in fields(IterateStats)]
+    _write_table(trace_path, f"# mpoqst {__version__}",
+                 ["iter" if c == "iteration" else c for c in columns],
+                 map(astuple, estimate.trace_log))
     payload = {
         "format": "mpoqst-estimate",
         "provenance": _provenance({"record": args.record, "povm": args.povm},
@@ -187,7 +173,7 @@ def cmd_estimate(args) -> int:
                         if truth is not None else None),
         "state": tt_to_json_dict(estimate.state),
     }
-    _write_json(base + ".json", payload)
+    _write_json(args.out + ".json", payload)
     print(trace_path)
     return 0
 
@@ -215,14 +201,11 @@ def cmd_check_design(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    state = _load_state(args.state)
+    state = load_tt(args.state)
     povm = _load_povm(args.povm, n=state.n)
     report = gamma_stat(povm, state, method=args.method,
                         beam_width=args.width)
-    payload = {"gamma": report.gamma, "p_max": report.p_max,
-               "argmax_outcome": list(report.argmax_outcome),
-               "exact": report.exact, "k_total": report.k_total}
-    return _report(payload, args.out)
+    return _report(asdict(report), args.out)
 
 
 def cmd_experiment(args) -> int:
@@ -314,7 +297,7 @@ def main(argv=None) -> int:
     except (NonPhysicalStateError, NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, KeyError, OSError,
+    except (ValueError, TypeError, KeyError, OSError, MemoryError,
             json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -51,6 +51,7 @@ from .povm import (
     outcome_amplitudes,
     sum_channel,
 )
+from .sampling import _stream
 from .states import MPDOGenConfig, kappa_for_rank, random_mpdo
 from .tt import (
     DenseOperator,
@@ -112,7 +113,8 @@ class EstimatorConfig:
 
     ranks may be a single max rank or an explicit internal rank vector;
     either is clipped to the structural caps.  Ranks, iteration counts,
-    sizes and the seed must be integers, mu0, lam and the tolerances
+    sizes and the seed must be integers (the seed in [0, 2**63), as
+    every seed of the package), mu0, lam and the tolerances
     numbers (mu0 positive and finite) and the switches booleans
     (ValueError otherwise).
     """
@@ -147,6 +149,8 @@ class EstimatorConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}")
+        if self.init_seed >= 2 ** 63:
+            raise ValueError("init_seed must be < 2**63")
         for name in ("mu0", "lam", "plateau_rel_tol", "tt_round_tol"):
             value = getattr(self, name)
             if not (value is None and name == "tt_round_tol"
@@ -173,6 +177,19 @@ class EstimatorConfig:
 
     def rank_vector(self, n: int, d: int) -> tuple:
         return cap_ranks(self.ranks, n, d)
+
+    @classmethod
+    def json_fields(cls, data, what: str) -> dict:
+        """A copy of ``data``, checked to be a JSON object of valid
+        EstimatorConfig fields other than init_state (a state file sets
+        that); ValueError naming ``what`` otherwise (TypeError for an
+        unknown field)."""
+        if not isinstance(data, dict):
+            raise ValueError(f"{what} must be a JSON object")
+        if "init_state" in data:
+            raise ValueError(f"init_state cannot be set in {what}")
+        cls(**data)  # the fields' own checks
+        return dict(data)
 
 
 @dataclass(frozen=True)
@@ -276,7 +293,7 @@ def outcome_sum_tt(outcomes, weights, povm: ProductPOVM,
     the fused() rows.  Bonds may pass the structural caps when
     k_loc > d^2; tt_round cuts them."""
     if local is None:
-        local = [site.fused() for site in povm.sites]
+        local = povm.fused()
     return TTTensor(tuple(_trie_cores(outcomes, weights, povm, local)),
                     d=povm.d)
 
@@ -735,8 +752,7 @@ def _psgd(record, povm, config, ranks):
                                 weight_sq)
 
     def step(rho, epoch, mu):
-        rng = np.random.Generator(np.random.Philox(
-            key=((int(config.init_seed) << 64) + 0xE0C + epoch)))
+        rng = _stream(config.init_seed, 0xE0C + epoch)
         filler = _zero_outcome_filler(povm, observed, n_epoch - n_obs, rng)
         subset = np.concatenate([observed, filler])
         subset_p = np.concatenate([p_obs, np.zeros(len(filler))])
@@ -754,28 +770,3 @@ def _psgd(record, povm, config, ranks):
             yield rho
 
     return state, loss_of, step, {"epoch_size": n_epoch, "batch_size": batch}
-
-
-# ---------------------------------------------------------------------------
-# theory diagnostics
-
-
-def admissible_step_interval(n: int, d: int, k_total: int, sigma_min: float,
-                             init_error: float, delta: float = 0.0) -> tuple:
-    """Step-size window (lo, hi) under which the local convergence theory
-    applies, given the smallest TT singular value of the target and the
-    initialization error.  Diagnostic only; the empirical schedules in
-    STEP_PRESETS are what the optimizer actually uses."""
-    scale = 600.0 * n / sigma_min * init_error
-    lo = scale / (1.0 + scale) * k_total * (d ** n + 1) / (
-        d ** n * (1.0 - delta))
-    hi = (d - 1) * (d ** n + 1) * (1.0 - delta) * k_total / (
-        (1.0 + delta) ** 2 * d ** (n + 1))
-    return lo, hi
-
-
-def admissible_init_radius(n: int, d: int, sigma_min: float,
-                           delta: float = 0.0) -> float:
-    """Initialization-error radius for the local convergence theory."""
-    return sigma_min * (d - 1) * (1.0 - delta) ** 2 / (
-        600.0 * n * (1.0 + delta ** 2 + (4 * d - 2) * delta))

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from html import escape
 
 import numpy as np
@@ -28,21 +28,13 @@ from .sampling import sample_sequential
 from .states import MPDOGenConfig, kappa_for_rank, random_mpdo
 from .tt import _json_int, _json_sha256
 
-CSV_COLUMNS = ["n", "shots", "rank", "init", "algorithm", "seed_index",
-               "state_seed", "noise_seed", "init_error", "final_error",
-               "final_loss", "iterations", "converged", "wall_ms",
-               "gamma_beam"]
-
-MEDIAN_COLUMNS = ["n", "shots", "rank", "init", "algorithm",
-                  "median_final_error", "median_init_error", "seeds",
-                  "all_converged"]
-
 
 @dataclass
 class ExperimentSpec:
     """Sweep axes and per-cell settings.  Every axis must be a non-empty
     list, the n, M and rank axes of positive JSON integers, as must be
-    seeds and purity; base_seed is an integer, record_gamma a boolean and
+    seeds and purity; every (n, rank) truth must be a valid MPDOGenConfig
+    draw; base_seed is an integer, record_gamma a boolean and
     estimator_overrides an object of EstimatorConfig fields other than
     init_state (ValueError otherwise)."""
 
@@ -71,15 +63,15 @@ class ExperimentSpec:
         for name in ("seeds", "purity"):
             if _json_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # the largest truth of the sweep: every cap grows with n and kappa
+        MPDOGenConfig(n=max(self.n_values),
+                      kappa=kappa_for_rank(max(self.rank_values)),
+                      purity=self.purity)
         _json_int(self.base_seed, "base_seed")
         if not isinstance(self.record_gamma, bool):
             raise ValueError("record_gamma must be true or false")
-        if not isinstance(self.estimator_overrides, dict):
-            raise ValueError("estimator_overrides must be a JSON object")
-        if "init_state" in self.estimator_overrides:
-            raise ValueError("init_state cannot be set in "
-                             "estimator_overrides")
-        EstimatorConfig(**self.estimator_overrides)  # its own field checks
+        EstimatorConfig.json_fields(self.estimator_overrides,
+                                    "estimator_overrides")
         for alg in self.algorithms:
             if alg not in ("pgd", "psgd"):
                 raise ValueError(f"unknown algorithm {alg!r}")
@@ -203,16 +195,15 @@ def _provenance(spec: ExperimentSpec) -> str:
     return f"# mpoqst {__version__} spec_sha256={spec.sha256()} seed={spec.base_seed}"
 
 
-def _write_table(spec: ExperimentSpec, columns: list, records,
-                 path: str) -> None:
-    """A CSV file: the provenance comment, the header, then one line per
-    record (a dict), in the order of the iterable ``records``."""
+def _write_table(path: str, comment: str, header: list, rows) -> None:
+    """A CSV file: the comment line, the header, then one line per row (a
+    sequence of values in header order, formatted by _fmt), in the order
+    of the iterable ``rows``; every line ends with \\n."""
     with open(path, "w", newline="") as fh:
-        fh.write(_provenance(spec) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for record in records:
-            writer.writerow([_fmt(record[c]) for c in columns])
+        fh.write(comment + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def aggregate_medians(rows: list) -> list:
@@ -350,10 +341,12 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> dict:
     results_path = os.path.join(out_dir, "results.csv")
     ordered = sorted(rows, key=lambda r: (r.n, r.shots, r.rank, r.init,
                                           r.algorithm, r.seed_index))
-    _write_table(spec, CSV_COLUMNS, map(asdict, ordered), results_path)
+    _write_table(results_path, _provenance(spec),
+                 [f.name for f in fields(ResultRow)], map(astuple, ordered))
     medians = aggregate_medians(rows)
     medians_path = os.path.join(out_dir, "medians.csv")
-    _write_table(spec, MEDIAN_COLUMNS, medians, medians_path)
+    _write_table(medians_path, _provenance(spec), list(medians[0]),
+                 [list(med.values()) for med in medians])
     with open(os.path.join(out_dir, "provenance.json"), "w") as fh:
         json.dump({"version": __version__, "spec_sha256": spec.sha256(),
                    "seed": spec.base_seed,

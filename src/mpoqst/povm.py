@@ -158,6 +158,10 @@ class ProductPOVM:
         not Hermitian)."""
         return [site.hermitian_coordinates() for site in self.sites]
 
+    def fused(self) -> list:
+        """Per site, the (k_loc, d*d) element rows of LocalPOVM.fused."""
+        return [s.fused() for s in self.sites]
+
     def identifier(self) -> str:
         return povm_id(self)
 
@@ -484,6 +488,12 @@ def _real_with_residue_check(values: np.ndarray, tol: float = 1e-10):
     return np.asarray(values).real
 
 
+def _check_shapes(povm: ProductPOVM, state) -> None:
+    """ValueError when the POVM and the state differ in n or d."""
+    if povm.n != state.n or povm.d != state.d:
+        raise ValueError("POVM and state shapes do not match")
+
+
 def measure_map_dense(povm, state: DenseOperator) -> np.ndarray:
     """Born probabilities p_k = <A_k, state> for every outcome, as a flat
     vector in lexicographic outcome order.  Product POVMs are contracted
@@ -493,8 +503,7 @@ def measure_map_dense(povm, state: DenseOperator) -> np.ndarray:
         return _real_with_residue_check(vals)
     if not isinstance(povm, ProductPOVM):
         raise TypeError("povm must be a DensePOVM or ProductPOVM")
-    if povm.n != state.n or povm.d != state.d:
-        raise ValueError("POVM and state shapes do not match")
+    _check_shapes(povm, state)
     acc = fuse_dense_to_tensor(state.matrix, state.n, state.d)
     for site in povm.sites:
         bmat = site.fused().conj()  # (k_loc, d*d)
@@ -508,10 +517,9 @@ def _site_transfers(povm: ProductPOVM, state: TTTensor, local=None) -> list:
     ``local[l]`` holds site l's element rows b_i in the basis of the
     state's physical legs, by default the fused() rows.  ValueError when
     the POVM and the state differ in n or d."""
-    if povm.n != state.n or povm.d != state.d:
-        raise ValueError("POVM and state shapes do not match")
+    _check_shapes(povm, state)
     if local is None:
-        local = [site.fused() for site in povm.sites]
+        local = povm.fused()
     return [np.tensordot(rows.conj(), core, axes=[[1], [1]])
             for rows, core in zip(local, state.cores)]
 
@@ -685,10 +693,9 @@ def sum_channel(povm: ProductPOVM, state: TTTensor, local=None) -> TTTensor:
     outcomes: the sum factorizes into per-site superoperators
     S[s', s] = sum_i b_i(s') conj(b_i(s)) applied to each physical index.
     ``local`` as in _site_transfers.  Output ranks equal input ranks."""
-    if povm.n != state.n or povm.d != state.d:
-        raise ValueError("POVM and state shapes do not match")
+    _check_shapes(povm, state)
     if local is None:
-        local = [site.fused() for site in povm.sites]
+        local = povm.fused()
     cores = []
     for bmat, core in zip(local, state.cores):  # bmat: (k_loc, d*d)
         smat = bmat.T @ bmat.conj()  # (d*d, d*d)

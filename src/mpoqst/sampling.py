@@ -22,6 +22,7 @@ outcome block from a fixed per-row template.
 from __future__ import annotations
 
 import json
+import numbers
 from collections.abc import ItemsView, Mapping, ValuesView
 from itertools import chain
 from operator import itemgetter
@@ -45,6 +46,13 @@ from .tt import DenseOperator, TTTensor, _json_int
 _MAX_RETRY_ROUNDS = 10
 _SHOT_CHUNK = 4096
 _JSON_ROWS_PER_CHUNK = 8192
+
+
+def _check_shots(m_shots) -> None:
+    if isinstance(m_shots, bool) or not (
+            isinstance(m_shots, numbers.Integral) and m_shots >= 0):
+        raise ValueError(f"shot count must be an integer >= 0, got "
+                         f"{m_shots!r}")
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -227,8 +235,8 @@ class PopulationRecord(_Record):
     """Exact outcome probabilities (noiseless synthetic measurements).
 
     ``probs`` is a mapping outcome -> probability, or, when ``outcomes``
-    is given, the (U,) vector of their probabilities.  On the record,
-    ``probs`` is a read-only mapping view."""
+    is given, the (U,) vector of their probabilities, all finite.  On
+    the record, ``probs`` is a read-only mapping view."""
 
     def __init__(self, probs, povm_id: str, m_shots: int = None,
                  seed: int = None, outcomes=None):
@@ -236,6 +244,8 @@ class PopulationRecord(_Record):
             outcomes, probs = _arrays_from_mapping(probs, float)
         self._init(outcomes, np.asarray(probs, dtype=float), m_shots,
                    povm_id, seed)
+        if not np.isfinite(self.values).all():
+            raise ValueError("probabilities must be finite numbers")
         object.__setattr__(self, "probs",
                            OutcomeView(self.outcomes, self.values))
 
@@ -271,8 +281,9 @@ def sample_enumerate(povm, state, m_shots: int, seed: int) -> OutcomeRecord:
 
     Requires an enumerable outcome space; the probability vector is
     clamped by the PSD noise rule and renormalized (aborting if the total
-    mass deviates from 1 by more than 1e-6).
+    mass deviates from 1 by more than 1e-6).  m_shots is an integer >= 0.
     """
+    _check_shots(m_shots)
     if isinstance(povm, DensePOVM):
         if not isinstance(state, DenseOperator):
             raise TypeError("dense POVM requires a dense state")
@@ -318,8 +329,9 @@ def sample_sequential(povm: ProductPOVM, state: TTTensor, m_shots: int,
     are retried in later streams, at most 10 rounds.  A mass below the
     window or a non-finite one raises NonPhysicalStateError.  The
     completed shots of every chunk are kept as rows and counted once at
-    the end.
+    the end.  m_shots is an integer >= 0.
     """
+    _check_shots(m_shots)
     n = povm.n
     transfers = _site_transfers(povm, state)
     envs = _right_environments(transfers)
@@ -410,8 +422,10 @@ def _outcome_block(record) -> list:
     """The pieces of the "counts" value as json.dumps(indent=2) writes it
     one level deep, formatted chunk by chunk from a per-row template:
     %d for indices and counts, %r (float repr, as json uses) for
-    probabilities."""
+    probabilities.  An empty record's block is "[]"."""
     u, n = record.outcomes.shape
+    if not u:
+        return ["[]"]
     value = "%d" if isinstance(record, OutcomeRecord) else "%r"
     row = ("    [\n      [\n" + ",\n".join(["        %d"] * n)
            + "\n      ],\n      " + value + "\n    ]")
@@ -433,10 +447,8 @@ def _outcome_block(record) -> list:
 def write_record_json(fh, payload: dict, record) -> None:
     """Write ``payload``, record_to_json_dict(record) with any further
     keys, to ``fh``.  The bytes equal json.dump(payload, fh, indent=2,
-    sort_keys=True); the "counts" block comes from the record's arrays."""
-    if not len(record.values) or not np.isfinite(record.values).all():
-        json.dump(payload, fh, indent=2, sort_keys=True)  # NaN, Infinity
-        return
+    sort_keys=True); the "counts" block comes from the record's arrays,
+    which every record holds finite."""
     marker = '\n  "counts": []'  # a top-level key: nothing else is at indent 2
     text = json.dumps(dict(payload, counts=[]), indent=2, sort_keys=True)
     head, tail = text.split(marker)
@@ -479,12 +491,9 @@ def _json_probabilities(values) -> np.ndarray:
     if set(map(type, values)) - {int, float}:
         raise bad
     try:
-        probs = np.array(values, dtype=float)
+        return np.array(values, dtype=float)
     except OverflowError:  # an integer beyond the float range
         raise bad from None
-    if not np.isfinite(probs).all():
-        raise bad
-    return probs
 
 
 def record_from_json_dict(data: dict):

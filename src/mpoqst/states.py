@@ -19,16 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .povm import MAX_REPEAT
 from .tt import NumericalError, TTTensor, fuse_index, tt_inner, tt_trace
 
 # Offset used to derive the one retry seed on a non-positive trace draw.
 _RESEED_OFFSET = 0x9E3779B9
 
 # Largest Kraus-term count, and largest entry count of one site's Kraus
-# draw (d * purity * kappa^2) and of one MPO core (d^2 kappa^4): beyond
-# them a draw asks numpy for gigabytes at once.
+# draw (d * purity * kappa^2), of one MPO core (d^2 kappa^4) and of all n
+# cores: beyond them a draw asks numpy for gigabytes.  n <= MAX_REPEAT.
 MAX_PURITY = 10 ** 4
 MAX_SITE_ENTRIES = 2 ** 22
+MAX_DRAW_ENTRIES = 2 ** 24
 
 
 def kappa_for_rank(rank: int) -> int:
@@ -43,7 +45,8 @@ class MPDOGenConfig:
 
     kappa is the Kraus bond dimension (MPO bond = kappa^2); purity >= 1
     sets the number of Kraus terms per site (1 = pure state).  ValueError
-    beyond MAX_PURITY or MAX_SITE_ENTRIES.
+    for n above MAX_REPEAT or beyond MAX_PURITY, MAX_SITE_ENTRIES or
+    MAX_DRAW_ENTRIES.
     """
 
     n: int
@@ -53,8 +56,8 @@ class MPDOGenConfig:
     d: int = 2
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.n <= MAX_REPEAT:
+            raise ValueError(f"n must be in 1..{MAX_REPEAT}, got {self.n}")
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
         if self.purity < 1:
@@ -67,6 +70,10 @@ class MPDOGenConfig:
             raise ValueError(
                 f"a site's Kraus draw ({draw} entries) or MPO core ({core}) "
                 f"exceeds {MAX_SITE_ENTRIES} entries; lower kappa or purity")
+        if self.n * core > MAX_DRAW_ENTRIES:
+            raise ValueError(
+                f"the {self.n} MPO cores ({self.n * core} entries) exceed "
+                f"{MAX_DRAW_ENTRIES} entries; lower n or kappa")
 
 
 def _kraus_core(a_cores: np.ndarray) -> np.ndarray:

@@ -162,16 +162,19 @@ def cap_ranks(ranks, n: int, d: int) -> tuple:
     caps = max_tt_ranks(n, d)
     if np.isscalar(ranks):
         return tuple(min(int(ranks), c) for c in caps)
+    return tuple(min(r, c) for r, c in zip(_rank_vector(ranks, n), caps))
+
+
+def _rank_vector(ranks, n: int) -> tuple:
+    """The n - 1 internal ranks as a tuple of ints (ValueError if not)."""
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != n - 1:
         raise ValueError(f"rank vector length {len(ranks)} != n-1 = {n - 1}")
-    return tuple(min(r, c) for r, c in zip(ranks, caps))
+    return ranks
 
 
 def _validate_ranks(ranks, n: int, d: int) -> tuple:
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != n - 1:
-        raise ValueError(f"rank vector length {len(ranks)} != n-1 = {n - 1}")
+    ranks = _rank_vector(ranks, n)
     caps = max_tt_ranks(n, d)
     for l, (r, c) in enumerate(zip(ranks, caps)):
         if r < 1:
@@ -571,9 +574,7 @@ def smallest_tt_singular_value(a: TTTensor, ranks) -> float:
     """
     if a.n == 1:
         return float("inf")
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != a.n - 1:
-        raise ValueError(f"rank vector length {len(ranks)} != {a.n - 1}")
+    ranks = _rank_vector(ranks, a.n)
     tensor = fuse_dense_to_tensor(tt_to_dense(a).matrix, a.n, a.d)
     dd = a.d * a.d
     smallest = np.inf
@@ -683,5 +684,10 @@ def save_tt(tt: TTTensor, path) -> None:
 
 
 def load_tt(path) -> TTTensor:
+    """TT operator from a JSON file that holds it bare (save_tt) or under
+    the key "state" (the files of generate and estimate)."""
     with open(path) as fh:
-        return tt_from_json_dict(json.load(fh))
+        data = json.load(fh)
+    if isinstance(data, dict) and "state" in data:
+        data = data["state"]
+    return tt_from_json_dict(data)

@@ -9,17 +9,18 @@ import re
 import tempfile
 import time
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpoqst import experiment
+from mpoqst import __version__, cli, experiment
 from mpoqst.cli import main
 from mpoqst.povm import MAX_REPEAT, local_povm_to_json_dict, sic_qubit
 from mpoqst.states import MPDOGenConfig, maximally_mixed, random_mpdo
-from mpoqst.tt import tt_from_json_dict, tt_to_json_dict
+from mpoqst.tt import load_tt, save_tt, tt_from_json_dict, tt_to_json_dict
 
 
 def run(args):
@@ -327,6 +328,9 @@ def test_estimate_rejects_config_faults(config, mode):
     assert _estimate_exit_code(_FUZZ_RECORD, mode, config) == 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings(
+    "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("mode", _ESTIMATE_MODES)
 def test_estimate_divergence_exits_2(mode, workspace, capsys):
     record = workspace / "rec.json"
@@ -1029,3 +1033,166 @@ def test_check_design_rejects_order_below_one(workspace, s):
     code, err = _cli(["check-design", "--vectors", path, "--s", s])
     assert code == 1
     assert "moment order" in err
+
+
+# ---------------------------------------------------------------------------
+# one reader or writer per file format
+
+
+def test_load_tt_reads_generate_and_estimate_files(workspace):
+    # load_tt raised KeyError 'd' on the {"state": ...} files of generate
+    state = _generate(workspace)
+    assert run(["measure", "--state", state, "--shots", 500, "--seed", 2,
+                "--out", "rec.json"]) == 0
+    cfg = workspace / "cfg.json"
+    cfg.write_text(json.dumps({"ranks": 2, "max_iters": 3}))
+    assert run(["estimate", "--record", "rec.json", "--config", cfg,
+                "--out", "fit"]) == 0
+    for path in (state, workspace / "fit.json"):
+        want = tt_from_json_dict(json.loads(path.read_text())["state"])
+        got = load_tt(path)
+        assert all(np.array_equal(a, b) for a, b in zip(got.cores,
+                                                         want.cores))
+        save_tt(got, workspace / "bare.json")
+        assert tt_to_json_dict(load_tt(workspace / "bare.json")) == \
+            tt_to_json_dict(want)
+
+
+def _frozen_fmt(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return "%.12g" % value
+    return str(value)
+
+
+def _frozen_trace_csv(trace_log) -> bytes:
+    """estimate.trace.csv as the hand-written loop of cmd_estimate wrote
+    it before the trace went through experiment._write_table."""
+    fh = io.StringIO()
+    fh.write(f"# mpoqst {__version__}\n")
+    fh.write("iter,loss,error,step,wall_ms\n")
+    for row in trace_log:
+        fh.write("%d,%.12g,%.12g,%.12g,%.12g\n" % (
+            row.iteration, row.loss, row.error, row.step, row.wall_ms))
+    return fh.getvalue().encode()
+
+
+def _frozen_table_csv(comment, columns, records) -> bytes:
+    """An experiment table as the csv.writer default dialect wrote it,
+    before every line ended with \\n."""
+    fh = io.StringIO(newline="")
+    fh.write(comment + "\n")
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    for record in records:
+        writer.writerow([_frozen_fmt(record[c]) for c in columns])
+    return fh.getvalue().encode()
+
+
+_FROZEN_RESULT_COLUMNS = [
+    "n", "shots", "rank", "init", "algorithm", "seed_index", "state_seed",
+    "noise_seed", "init_error", "final_error", "final_loss", "iterations",
+    "converged", "wall_ms", "gamma_beam"]
+_FROZEN_MEDIAN_COLUMNS = [
+    "n", "shots", "rank", "init", "algorithm", "median_final_error",
+    "median_init_error", "seeds", "all_converged"]
+
+
+@pytest.mark.parametrize("truth", [False, True])
+@pytest.mark.parametrize("mode", [
+    ["--config", "random.json"], ["--config", "spectral.json"],
+    ["--config", "random.json", "--backend", "dense"],
+    ["--config", "random.json", "--algorithm", "psgd"]])
+def test_trace_file_equals_the_frozen_loop(workspace, monkeypatch, mode,
+                                           truth):
+    state = _generate(workspace)
+    assert run(["measure", "--state", state, "--shots", 800, "--seed", 4,
+                "--out", "rec.json"]) == 0
+    for init in ("random", "spectral"):
+        (workspace / f"{init}.json").write_text(json.dumps(
+            {"ranks": 4, "max_iters": 6, "max_epochs": 2, "init": init,
+             "init_seed": 3}))
+    estimates = []
+    for name in ("pgd", "psgd"):
+        def capture(*args, _runner=getattr(cli, name), **kwargs):
+            estimates.append(_runner(*args, **kwargs))
+            return estimates[-1]
+        monkeypatch.setattr(cli, name, capture)
+    assert run(["estimate", "--record", "rec.json", *mode, "--out", "fit",
+                *(["--truth", state] if truth else [])]) == 0
+    (estimate,) = estimates
+    written = (workspace / "fit.trace.csv").read_bytes()
+    assert written == _frozen_trace_csv(estimate.trace_log)
+    assert (b",nan," in written.splitlines()[-1]) != truth
+
+
+@pytest.fixture(scope="module")
+def _small_sweep(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sweep")
+    spec = experiment.ExperimentSpec(
+        n_values=[2, 3], m_values=[300], algorithms=["pgd", "psgd"],
+        seeds=2, base_seed=5, record_gamma=True,
+        estimator_overrides={"max_iters": 5, "max_epochs": 2})
+    return spec, out, experiment.run_experiment(spec, str(out))
+
+
+def test_experiment_tables_end_lines_with_lf(_small_sweep):
+    # the comment line ended with \n, the csv.writer rows with \r\n
+    _, out, _ = _small_sweep
+    for name in ("results.csv", "medians.csv"):
+        text = (out / name).read_bytes()
+        assert b"\r" not in text and text.endswith(b"\n")
+
+
+def test_experiment_tables_equal_the_frozen_writer(_small_sweep):
+    spec, out, result = _small_sweep
+    comment = experiment._provenance(spec)
+    ordered = sorted(result["rows"], key=lambda r: (
+        r.n, r.shots, r.rank, r.init, r.algorithm, r.seed_index))
+    for name, columns, records in (
+            ("results.csv", _FROZEN_RESULT_COLUMNS, map(asdict, ordered)),
+            ("medians.csv", _FROZEN_MEDIAN_COLUMNS, result["medians"])):
+        want = _frozen_table_csv(comment, columns, records)
+        assert (out / name).read_bytes().replace(b"\r", b"") == \
+            want.replace(b"\r", b"")
+
+
+def test_experiment_spec_caps_the_site_count():
+    # a cell with n above the cap would grow its truth without limit
+    with pytest.raises(ValueError, match=str(MAX_REPEAT)):
+        experiment.ExperimentSpec(n_values=[2, MAX_REPEAT + 1])
+
+
+def test_generate_rejects_n_above_the_site_cap(workspace):
+    code, err = _cli(["generate", "--n", MAX_REPEAT + 1])
+    assert code == 1
+    assert err.startswith("input error:") and str(MAX_REPEAT) in err
+    assert not (workspace / "state.json").exists()
+
+
+@pytest.mark.parametrize("sampler", ["sequential", "enumerate"])
+def test_measure_rejects_negative_shots(workspace, sampler):
+    state = _generate(workspace)
+    code, err = _cli(["measure", "--state", state, "--shots", -5,
+                      "--sampler", sampler, "--out", "rec.json"])
+    assert code == 1
+    assert err.startswith("input error:")
+    assert "shot count" in err and "-5" in err
+    assert not (workspace / "rec.json").exists()
+
+
+def test_measure_out_of_memory_exits_1(workspace, monkeypatch):
+    # --shots 10**12 ended in numpy's _ArrayMemoryError traceback; the
+    # sampler is replaced, since hosts differ in their overcommit settings
+    state = _generate(workspace)
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr(cli, "sample_sequential", no_memory)
+    code, err = _cli(["measure", "--state", state, "--shots", 10 ** 12,
+                      "--out", "rec.json"])
+    assert code == 1
+    assert err.startswith("input error:") and "14.6 TiB" in err
+    assert "Traceback" not in err

@@ -11,8 +11,6 @@ from mpoqst.estimator import (
     EstimatorConfig,
     _trie_cores,
     _zero_outcome_filler,
-    admissible_init_radius,
-    admissible_step_interval,
     empirical_operator,
     loss,
     loss_dense,
@@ -837,6 +835,9 @@ def test_check_iterate_names_the_fault(fault, message):
         estimator._check_iterate(x)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings(
+    "ignore:invalid value encountered:RuntimeWarning")
 def test_pgd_divergence_reports_iteration():
     # a catastrophically large step overflows the iterate scale; the loop
     # reports the offending iteration instead of looping on garbage
@@ -849,6 +850,9 @@ def test_pgd_divergence_reports_iteration():
         pgd(rec, povm, config)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings(
+    "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("runner,backend,unit", [
     (pgd, "tt", "iteration 2"), (pgd, "dense", "iteration 2"),
     (psgd, "tt", "epoch 2")])
@@ -1021,16 +1025,12 @@ def test_preset_lookup():
     assert preset_schedule("psgd", "spectral", 4)["scale_2n"] is False
 
 
-def test_admissible_step_interval_shape():
-    lo, hi = admissible_step_interval(n=3, d=2, k_total=64, sigma_min=0.3,
-                                      init_error=1e-5)
-    assert 0 < lo < hi
-    radius = admissible_init_radius(n=3, d=2, sigma_min=0.3)
-    assert radius > 0
-    # within the theory's radius the window is non-empty
-    lo2, _ = admissible_step_interval(n=3, d=2, k_total=64, sigma_min=0.3,
-                                      init_error=radius * 0.9)
-    assert lo2 < hi
+def test_config_bounds_the_seed_as_the_streams_do():
+    # PSGD draws its epochs from sampling._stream, which takes seeds below
+    # 2**63; the bound now holds for every algorithm
+    EstimatorConfig(init_seed=2 ** 63 - 1)
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        EstimatorConfig(init_seed=2 ** 63)
 
 
 def test_config_validation():

@@ -399,14 +399,31 @@ def test_record_file_bytes_match_dict_json(kind):
 
 
 def test_record_file_of_empty_and_non_finite_records():
+    # an empty record's block is written as []; a non-finite probability
+    # is refused when the record is built, so no record file holds one
     for record in (OutcomeRecord(counts={}, m_shots=0, povm_id="", seed=0),
-                   PopulationRecord(probs={(1,): float("nan"), (2,): 0.5},
-                                    povm_id="")):
+                   PopulationRecord(probs={}, povm_id="")):
         payload = record_to_json_dict(record)
         fh = io.StringIO()
         write_record_json(fh, payload, record)
         assert fh.getvalue() == json.dumps(_dict_record_json(record),
                                            indent=2, sort_keys=True)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            PopulationRecord(probs={(1,): bad, (2,): 0.5}, povm_id="")
+        with pytest.raises(ValueError, match="finite"):
+            PopulationRecord([0.5, bad], povm_id="", outcomes=[[1], [2]])
+
+
+@pytest.mark.parametrize("shots", [-5, -1, 2.5, True, "3"])
+@pytest.mark.parametrize("sampler", [sample_sequential, sample_enumerate])
+def test_samplers_reject_shot_counts_that_are_not_counts(sampler, shots):
+    # a negative count failed as "counts must sum to the shot total"
+    # (sequential) or as numpy's "n < 0" (enumerate)
+    with pytest.raises(ValueError, match="shot count"):
+        sampler(ProductPOVM.local_sic(2), _mpdo(2, seed=1), shots, seed=0)
+    assert sampler(ProductPOVM.local_sic(2), _mpdo(2, seed=1), 0,
+                   seed=0).m_shots == 0
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpoqst.povm import MAX_REPEAT
 from mpoqst.states import (
+    MAX_DRAW_ENTRIES,
     MAX_PURITY,
     MAX_SITE_ENTRIES,
     MPDOGenConfig,
@@ -80,6 +82,17 @@ def test_config_rejects_draws_beyond_the_caps(kappa, purity_, d, limit):
     # both used to end in numpy's _ArrayMemoryError
     with pytest.raises(ValueError, match=limit):
         MPDOGenConfig(n=2, kappa=kappa, purity=purity_, d=d)
+
+
+@pytest.mark.parametrize("n, kappa, limit", [
+    (MAX_REPEAT + 1, 1, str(MAX_REPEAT)),  # the site count
+    (1025, 8, str(MAX_DRAW_ENTRIES)),  # all cores: n d^2 kappa^4
+])
+def test_config_rejects_site_counts_beyond_the_caps(n, kappa, limit):
+    # n had no upper bound, so a draw grew without limit
+    with pytest.raises(ValueError, match=limit):
+        MPDOGenConfig(n=n, kappa=kappa)
+    MPDOGenConfig(n=n - 1, kappa=kappa)
 
 
 def test_config_accepts_the_sizes_in_use():
