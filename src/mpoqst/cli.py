@@ -136,6 +136,15 @@ def cmd_measure(args) -> int:
     return 0
 
 
+def _record_state(path, povm: ProductPOVM):
+    """The state file at ``path``, checked to fit the record's POVM."""
+    state = load_tt(path)
+    if (state.n, state.d) != (povm.n, povm.d):
+        raise ValueError(f"state file {path} has {state.n} sites of d="
+                         f"{state.d}, the record {povm.n} sites of d={povm.d}")
+    return state
+
+
 def cmd_estimate(args) -> int:
     with open(args.record) as fh:
         record = record_from_json_dict(json.load(fh))
@@ -152,9 +161,12 @@ def cmd_estimate(args) -> int:
                 json.load(fh), f"config {args.config}")
     overrides.setdefault("backend", args.backend)
     if args.init_state:
-        overrides.update(init="provided", init_state=load_tt(args.init_state))
+        overrides.update(init="provided",
+                         init_state=_record_state(args.init_state, povm))
     config = EstimatorConfig(**overrides)
-    truth = load_tt(args.truth) if args.truth else None
+    truth = _record_state(args.truth, povm) if args.truth else None
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"the directory of --out {args.out} does not exist")
     runner = psgd if args.algorithm == "psgd" else pgd
     estimate = runner(record, povm, config, truth=truth)
     trace_path = args.out + ".trace.csv"

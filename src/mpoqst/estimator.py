@@ -20,11 +20,12 @@ sum_k <A_k, rho> A_k (a site-local superoperator, rank-preserving) and a
 data term E = sum_k p_hat_k A_k that is fixed for a given record.  E is
 assembled once as an exact MPO whose bond bases are the distinct observed
 outcome prefixes/suffixes, so its bond R grows with the number of
-distinct outcomes, and it is right-orthogonalized once per run.  Each step
-rounds rho - mu Phi(rho) + mu E with ``tt_round_sum``: only the rank-2r
-part is orthogonalized against E's fixed orthonormal rows, which costs
-O(n d^2 r R^2) per step instead of the O(n d^2 R^3) of rounding the whole
-sum.  PGD's spectral initialization and loss cross term <E, rho> read the
+distinct outcomes.  E is never orthogonalized: the Gram matrices of its
+right parts are formed once per run (tt_right_grams, two matrix products
+per bond), and each step rounds rho - mu Phi(rho) + mu E from them with
+``tt_round_sum``, one eigenproblem of size r d^2 per bond at O(n d^2 r
+R^2) per step instead of the O(n d^2 R^3) of rounding the whole sum.
+PGD's spectral initialization and loss cross term <E, rho> read the
 same E; PSGD builds none and takes the cross term from the amplitudes
 of the record's observed outcomes.
 
@@ -66,6 +67,7 @@ from .tt import (
     tt_from_hermitian_coordinates,
     tt_inner,
     tt_norm,
+    tt_right_grams,
     tt_round,
     tt_round_sum,
     tt_scale,
@@ -299,28 +301,27 @@ def outcome_sum_tt(outcomes, weights, povm: ProductPOVM,
 
 
 def _empirical_coordinates(record, povm: ProductPOVM) -> TTTensor:
-    """E = sum_k p_hat_k A_k as a right-orthogonal real coordinate TT.
+    """E = sum_k p_hat_k A_k as the raw prefix-tree TT in the coordinates
+    of tt.hermitian_basis, real as p_hat is real and every A_k Hermitian.
+    It is not orthogonalized: tt_round_sum reads it through its right
+    Gram matrices, also where a bond passes its cap (k_loc > d^2)."""
+    return outcome_sum_tt(record.outcomes, record.p_hat, povm,
+                          povm.hermitian_coordinates())
 
-    p_hat is real and every A_k Hermitian, so the prefix-tree cores are
-    built in the real coordinates of tt.hermitian_basis and orthogonalized
-    in float64.  A bond over its structural cap (k_loc > d^2) is first cut
-    down by a left-to-right QR sweep."""
-    cores = _trie_cores(record.outcomes, record.p_hat, povm,
-                        povm.hermitian_coordinates())
+
+def empirical_operator(record, povm: ProductPOVM) -> TTTensor:
+    """The adjoint-map image E = sum_k p_hat_k A_k of the recorded
+    weights, returned right-orthogonal: cores 2..n have orthonormal rows
+    (a right-to-left QR sweep, after a left-to-right one cuts any bond
+    over its structural cap).  ValueError when a POVM element is not
+    Hermitian."""
+    cores = list(_empirical_coordinates(record, povm).cores)
     dd = povm.d * povm.d
     if any(c.shape[2] > cap
            for c, cap in zip(cores, max_tt_ranks(povm.n, povm.d))):
         _orthogonalize_left(cores, dd)
     _orthogonalize_right(cores, dd)
-    return TTTensor(tuple(cores), d=povm.d)
-
-
-def empirical_operator(record, povm: ProductPOVM) -> TTTensor:
-    """The adjoint-map image E = sum_k p_hat_k A_k of the recorded
-    weights, returned right-orthogonal: cores 2..n have orthonormal rows,
-    as tt_right_orthogonalize gives them.  ValueError when a POVM element
-    is not Hermitian."""
-    return tt_from_hermitian_coordinates(_empirical_coordinates(record, povm))
+    return tt_from_hermitian_coordinates(TTTensor(tuple(cores), d=povm.d))
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +397,15 @@ def _coordinate_trace(x: TTTensor) -> float:
 
 
 def _project(x: TTTensor, ranks, round_tol: float = None,
-             data: TTTensor = None) -> TTTensor:
-    """project_mpo in coordinates, of x plus the right-orthogonal
-    ``data`` when given (tt_round_sum keeps its orthonormal rows)."""
+             data: TTTensor = None, grams: list = None) -> TTTensor:
+    """project_mpo in coordinates, of x plus ``data`` when given, rounded
+    by tt_round_sum from data's right Gram matrices ``grams``
+    (tt_right_grams)."""
     capped = cap_ranks(ranks, x.n, x.d)
     if data is None:
         x = tt_round(x, target_ranks=capped)
     else:
-        x = tt_round_sum(x, data, target_ranks=capped)
+        x = tt_round_sum(x, data, grams, capped)
     if round_tol is not None and x.n > 1:
         x = tt_round(x, truncation_tol=round_tol)
     tr = _coordinate_trace(x)
@@ -441,18 +443,19 @@ def random_init(ranks, n: int, d: int, seed: int) -> TTTensor:
 
 
 def _initial_state(record, povm, config: EstimatorConfig, ranks,
-                   empirical: TTTensor = None) -> TTTensor:
+                   empirical: TTTensor = None, grams: list = None) -> TTTensor:
     """The start in coordinates; ``empirical``, if given, is the record's
-    _empirical_coordinates."""
+    _empirical_coordinates and ``grams`` its tt_right_grams."""
     if config.init == "spectral":
         if not record.weights():
             raise ValueError("record is empty")
         if empirical is None:
             empirical = _empirical_coordinates(record, povm)
+            grams = tt_right_grams(empirical)
         n, d = povm.n, povm.d
         scale = povm.k_total * (d ** n + 1) / d ** n
         return _project(tt_zeros(n, d), ranks,
-                        data=tt_scale(empirical, scale))
+                        data=tt_scale(empirical, scale), grams=grams)
     if config.init == "provided":
         if config.init_state is None:
             raise ValueError("init='provided' requires init_state")
@@ -617,12 +620,13 @@ def pgd(record, povm: ProductPOVM, config: EstimatorConfig,
 
 
 def _tt_pgd(record, povm, config, ranks):
-    """PGD on MPOs: E once, then each step rounds rho - mu Phi(rho) + mu E
-    against E's orthonormal rows.  The loss and the next step share one
-    sum_channel per iterate."""
+    """PGD on MPOs: E and its right Gram matrices once, then each step
+    rounds rho - mu Phi(rho) + mu E through them.  The loss and the next
+    step share one sum_channel per iterate."""
     emp = _empirical_coordinates(record, povm)
+    grams = tt_right_grams(emp)
     local = povm.hermitian_coordinates()
-    state = _initial_state(record, povm, config, ranks, emp)
+    state = _initial_state(record, povm, config, ranks, emp, grams)
     weight_sq = _weight_sq(record)
     channel = None
 
@@ -634,7 +638,8 @@ def _tt_pgd(record, povm, config, ranks):
 
     def step(rho, k, mu):
         yield _project(tt_add(rho, tt_scale(channel, -mu)), ranks,
-                       config.tt_round_tol, data=tt_scale(emp, mu))
+                       config.tt_round_tol, data=tt_scale(emp, mu),
+                       grams=grams)
 
     return state, loss_of, step, {}
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .estimator import EstimatorConfig, pgd, preset_schedule, psgd, recovery_error
 from .povm import ProductPOVM, gamma
-from .sampling import sample_sequential
+from .sampling import MAX_SHOTS, sample_sequential
 from .states import MPDOGenConfig, kappa_for_rank, random_mpdo
 from .tt import _json_int, _json_sha256
 
@@ -32,11 +32,11 @@ from .tt import _json_int, _json_sha256
 @dataclass
 class ExperimentSpec:
     """Sweep axes and per-cell settings.  Every axis must be a non-empty
-    list, the n, M and rank axes of positive JSON integers, as must be
-    seeds and purity; every (n, rank) truth must be a valid MPDOGenConfig
-    draw; base_seed is an integer, record_gamma a boolean and
-    estimator_overrides an object of EstimatorConfig fields other than
-    init_state (ValueError otherwise)."""
+    list, the n, M and rank axes of positive JSON integers (M at most
+    sampling.MAX_SHOTS), as must be seeds and purity; every (n, rank)
+    truth must be a valid MPDOGenConfig draw; base_seed is an integer,
+    record_gamma a boolean and estimator_overrides an object of
+    EstimatorConfig fields other than init_state (ValueError otherwise)."""
 
     n_values: list
     m_values: list = field(default_factory=lambda: [3000])
@@ -60,6 +60,8 @@ class ExperimentSpec:
             if min(_json_int(v, f"{name} entry")
                    for v in getattr(self, name)) < 1:
                 raise ValueError(f"{name} entries must be >= 1")
+        if max(self.m_values) > MAX_SHOTS:
+            raise ValueError(f"m_values entries must be <= {MAX_SHOTS}")
         for name in ("seeds", "purity"):
             if _json_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be >= 1")

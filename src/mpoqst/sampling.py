@@ -46,13 +46,15 @@ from .tt import DenseOperator, TTTensor, _json_int
 _MAX_RETRY_ROUNDS = 10
 _SHOT_CHUNK = 4096
 _JSON_ROWS_PER_CHUNK = 8192
+MAX_SHOTS = 10 ** 7  # the (M, n) uniform block is about 1 GB at n = 12
 
 
 def _check_shots(m_shots) -> None:
     if isinstance(m_shots, bool) or not (
-            isinstance(m_shots, numbers.Integral) and m_shots >= 0):
-        raise ValueError(f"shot count must be an integer >= 0, got "
-                         f"{m_shots!r}")
+            isinstance(m_shots, numbers.Integral)
+            and 0 <= m_shots <= MAX_SHOTS):
+        raise ValueError(f"shot count must be an integer in [0, "
+                         f"{MAX_SHOTS}], got {m_shots!r}")
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -281,7 +283,8 @@ def sample_enumerate(povm, state, m_shots: int, seed: int) -> OutcomeRecord:
 
     Requires an enumerable outcome space; the probability vector is
     clamped by the PSD noise rule and renormalized (aborting if the total
-    mass deviates from 1 by more than 1e-6).  m_shots is an integer >= 0.
+    mass deviates from 1 by more than 1e-6).  m_shots is an integer in
+    [0, MAX_SHOTS].
     """
     _check_shots(m_shots)
     if isinstance(povm, DensePOVM):
@@ -329,7 +332,7 @@ def sample_sequential(povm: ProductPOVM, state: TTTensor, m_shots: int,
     are retried in later streams, at most 10 rounds.  A mass below the
     window or a non-finite one raises NonPhysicalStateError.  The
     completed shots of every chunk are kept as rows and counted once at
-    the end.  m_shots is an integer >= 0.
+    the end.  m_shots is an integer in [0, MAX_SHOTS].
     """
     _check_shots(m_shots)
     n = povm.n

@@ -465,78 +465,72 @@ def tt_round(a: TTTensor, target_ranks=None, truncation_tol=None) -> TTTensor:
                                    truncation_tol)
 
 
-def tt_right_orthogonalize(a: TTTensor) -> TTTensor:
-    """The same tensor with cores 2..n right-orthonormal: the unfolding
-    core.reshape(r, d*d*r') of each has orthonormal rows.  The first core
-    holds the norm, so :func:`tt_scale` keeps the form."""
-    cores = list(a.cores)
-    _orthogonalize_right(cores, a.d * a.d)
-    return TTTensor(tuple(cores), d=a.d)
+def _right_grams(a: TTTensor, b: TTTensor) -> list:
+    """Entry l is A_l B_l^H, row i of A_l (B_l) being the tensor that the
+    cores right of bond l make from bond index i; the last is [[1]].
+    Two matrix products per bond; core 0 is never read."""
+    grams = [np.ones((1, 1))]
+    for ca, cb in zip(a.cores[:0:-1], b.cores[:0:-1]):
+        t = (ca.reshape(-1, ca.shape[2]) @ grams[-1]).reshape(ca.shape[0], -1)
+        grams.append(t @ cb.reshape(cb.shape[0], -1).conj().T)
+    return grams[::-1]
 
 
-def tt_round_sum(a: TTTensor, b: TTTensor, target_ranks=None,
-                 truncation_tol=None) -> TTTensor:
-    """tt_round(tt_add(a, b), ...) for a right-orthogonal ``b`` (see
-    :func:`tt_right_orthogonalize`) with small ranks in ``a``.
+def tt_right_grams(b: TTTensor) -> list:
+    """The Gram matrices G_l of b's parts right of each bond l (right of
+    core l, 0-based; G_{n-1} = [[1]]) that :func:`tt_round_sum` takes.
+    They do not read core 0, so they serve every tt_scale of b."""
+    return _right_grams(b, b)
 
-    The right-to-left sweep keeps b's orthonormal rows Q and only
-    orthogonalizes the rows of a against them: at each site the
-    coefficients C = A Q^H go into the next core of a, and the residual
-    A - C Q adds at most rank(a) new orthonormal rows.  The left-to-right
-    truncation is the one of :func:`tt_round`.  With r the ranks of a and
-    R those of b, this costs O(n d^2 r R^2) instead of O(n d^2 R^3).
-    ``b`` is assumed right-orthogonal, not checked.
+
+def tt_round_sum(a: TTTensor, b: TTTensor, grams: list,
+                 target_ranks) -> TTTensor:
+    """tt_round(tt_add(a, b), target_ranks) from b's right Gram matrices
+    (:func:`tt_right_grams`), with no QR of b.  Left to right, the sum's
+    unfolding at bond l is Y W, Y = carry [a_l | b_l] and W the stacked
+    right parts, so its kept left singular vectors are the top
+    eigenvectors of Y (W W^H) Y^H, built from a's Grams, the cross Grams
+    and ``grams[l]``; they become the core, and carry their projection of
+    Y on.  span caps each bond as tt_round's QR sweep does.  Per call
+    this costs O(n d^2 r R^2) for ranks r of a and R of b.  The cores
+    before the last are orthonormal, so the last one holds the norm that
+    decides when the sum cancels to the exact zero.
     """
     _check_compatible(a, b)
-    target_ranks = _rounding_mode(a, target_ranks, truncation_tol)
+    target_ranks = _validate_ranks(target_ranks, a.n, a.d)
     n, d = a.n, a.d
     dd = d * d
     if n == 1:
         return TTTensor((a.cores[0] + b.cores[0],), d=d)
-    # Site l's orthonormal core is [Q_l, 0; Z_l] with Q_l = b's core
-    # unfolding (rb_l, dd*rb_{l+1}), zero-padded to the k_{l+1} residual
-    # columns of site l + 1, and Z_l the k_l residual rows.
-    qs = [c.reshape(c.shape[0], -1) for c in b.cores]
-    rb = [c.shape[0] for c in b.cores] + [1]
-    zs = [None] * n
-    k = [0] * (n + 1)
-    acore = a.cores[n - 1]  # a's core times the carry, (ra, dd, rb' + k')
-    for l in range(n - 1, 0, -1):
-        ra = acore.shape[0]
-        width = rb[l + 1] + k[l + 1]
-        on_q = acore[:, :, :rb[l + 1]].reshape(ra, -1)
-        coef = (on_q.conj() @ qs[l].T).conj()  # A Q^H, conjugating A only
-        resid = acore.astype(coef.dtype)
-        resid[:, :, :rb[l + 1]] -= (coef @ qs[l]).reshape(ra, dd, rb[l + 1])
-        # The residual lies in the complement of Q's rb_l rows, so it
-        # adds at most dd * width - rb_l new rows.
-        k[l] = min(ra, dd * width - rb[l])
-        carry = coef
-        if k[l] > 0:
-            q, rmat = np.linalg.qr(resid.reshape(ra, -1).T)
-            rz, zs[l] = rmat.T, q.T
-            if k[l] < ra:  # keep the leading k_l directions
-                u, sv, vt = np.linalg.svd(rz, full_matrices=False)
-                rz, zs[l] = u[:, :k[l]] * sv[:k[l]], vt[:k[l]] @ zs[l]
-            zs[l] = np.ascontiguousarray(zs[l])
-            carry = np.concatenate([coef, rz], axis=1)
-        prev = a.cores[l - 1]
-        acore = (prev.reshape(-1, ra) @ carry).reshape(prev.shape[0], dd, -1)
-    first = acore  # a fresh array
-    first[:, :, :rb[1]] += b.cores[0]
-
-    def absorb(l, carry):
-        r = carry.shape[0]
-        width = rb[l + 1] + k[l + 1]
-        on_q = (carry[:, :rb[l]] @ qs[l]).reshape(r, dd, rb[l + 1])
-        if zs[l] is None:  # then k_{l+1} = 0 too: no padding
-            return on_q
-        out = (carry[:, rb[l]:] @ zs[l]).reshape(r, dd, width)
-        out[:, :, :rb[l + 1]] += on_q
-        return out
-
-    return _truncate_left_to_right(first, absorb, n, d, target_ranks,
-                                   truncation_tol)
+    g_aa, g_ab = _right_grams(a, a), _right_grams(a, b)
+    span = [1]
+    for ra, rb in zip(a.ranks[-2:0:-1], b.ranks[-2:0:-1]):
+        span.insert(0, min(ra + rb, dd * span[0]))
+    ca = cb = np.ones((1, 1))  # carry onto a's and b's bond
+    cores = []
+    for l in range(n - 1):
+        r = ca.shape[0]
+        ya = (ca @ a.cores[l].reshape(ca.shape[1], -1)).reshape(r * dd, -1)
+        yb = (cb @ b.cores[l].reshape(cb.shape[1], -1)).reshape(r * dd, -1)
+        # M's eigenvectors do not depend on Y's scale, but M squares it,
+        # so M is formed from Y / scale, which overflows no sooner than
+        # tt_round's QR of Y would
+        scale = max(np.abs(ya).max(), np.abs(yb).max()) or 1.0
+        sa, sb = ya / scale, yb / scale
+        ga = sa @ g_aa[l] + sb @ g_ab[l].conj().T  # (Y G)'s a columns
+        gb = sa @ g_ab[l] + sb @ grams[l]          # and its b columns
+        u = np.linalg.eigh(ga @ sa.conj().T + gb @ sb.conj().T)[1]
+        # eigh sorts ascending: keep the top k, the largest first
+        u = u[:, :-1 - min(target_ranks[l], r * dd, span[l]):-1]
+        cores.append(u.reshape(r, dd, -1))
+        uh = u.conj().T
+        ca, cb = uh @ ya, uh @ yb
+    last = (ca @ a.cores[-1].reshape(ca.shape[1], dd)
+            + cb @ b.cores[-1].reshape(cb.shape[1], dd))
+    if np.linalg.norm(last) <= ZERO_NORM_TOL:
+        return tt_zeros(n, d)
+    cores.append(last.reshape(-1, dd, 1))
+    return TTTensor(tuple(cores), d=d)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from mpoqst import __version__, cli, experiment
 from mpoqst.cli import main
 from mpoqst.povm import MAX_REPEAT, local_povm_to_json_dict, sic_qubit
+from mpoqst.sampling import MAX_SHOTS
 from mpoqst.states import MPDOGenConfig, maximally_mixed, random_mpdo
 from mpoqst.tt import load_tt, save_tt, tt_from_json_dict, tt_to_json_dict
 
@@ -142,6 +143,43 @@ def test_gamma_cli(workspace, capsys):
                 "--width", 8]) == 0
     beam = json.loads(capsys.readouterr().out)
     assert beam["gamma"] <= payload["gamma"] + 1e-12
+
+
+@pytest.mark.parametrize("flag", ["--init-state", "--truth"])
+def test_estimate_rejects_state_file_of_other_size(workspace, flag):
+    # a 3-site --init-state for a 2-site record failed in the rank capping
+    # with "rank vector length 2 != n-1 = 1", naming neither file
+    state = _generate(workspace)
+    record = workspace / "rec.json"
+    assert run(["measure", "--state", state, "--shots", 100, "--seed", 1,
+                "--out", record]) == 0
+    other = workspace / "other.json"
+    assert run(["generate", "--n", 3, "--kappa", 1, "--out", other]) == 0
+    code, err = _cli(["estimate", "--record", record, flag, other,
+                      "--out", workspace / "x"])
+    assert code == 1
+    assert err.startswith("input error:") and str(other) in err
+    assert "3 sites" in err and "2 sites" in err
+    assert not (workspace / "x.json").exists()
+
+
+def test_estimate_missing_out_directory_exits_before_estimating(
+        workspace, monkeypatch):
+    # the missing directory showed only when the trace was written, after
+    # the whole run
+    state = _generate(workspace)
+    record = workspace / "rec.json"
+    assert run(["measure", "--state", state, "--shots", 100, "--seed", 1,
+                "--out", record]) == 0
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the estimator ran")
+
+    monkeypatch.setattr(cli, "pgd", no_run)
+    code, err = _cli(["estimate", "--record", record,
+                      "--out", workspace / "missing" / "e"])
+    assert code == 1
+    assert err.startswith("input error:") and "missing" in err
 
 
 def test_estimate_empty_record_is_input_error(workspace, capsys):
@@ -1180,6 +1218,29 @@ def test_measure_rejects_negative_shots(workspace, sampler):
     assert err.startswith("input error:")
     assert "shot count" in err and "-5" in err
     assert not (workspace / "rec.json").exists()
+
+
+@pytest.mark.parametrize("sampler", ["sequential", "enumerate"])
+def test_measure_rejects_shots_over_the_cap(workspace, sampler):
+    state = _generate(workspace)
+    code, err = _cli(["measure", "--state", state,
+                      "--shots", MAX_SHOTS + 1, "--sampler", sampler,
+                      "--out", "rec.json"])
+    assert code == 1
+    assert err.startswith("input error:")
+    assert "shot count" in err and str(MAX_SHOTS + 1) in err
+    assert not (workspace / "rec.json").exists()
+
+
+def test_experiment_rejects_m_over_the_cap_before_any_cell(workspace):
+    # M = 10**13 ran the earlier cells, then failed in the sampler's
+    # uniform block with "Unable to allocate 72.8 TiB"
+    spec = workspace / "spec.json"
+    spec.write_text(json.dumps({**_SPEC, "m_values": [20, 10 ** 13]}))
+    code, err = _cli(["experiment", "--spec", spec, "--out", "out"])
+    assert code == 1
+    assert err.startswith("input error:") and "m_values" in err
+    assert not (workspace / "out").exists()  # no cell, no results.csv
 
 
 def test_measure_out_of_memory_exits_1(workspace, monkeypatch):

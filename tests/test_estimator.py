@@ -46,6 +46,10 @@ from mpoqst.tt import (
     DenseOperator,
     NumericalError,
     TTTensor,
+    _check_compatible,
+    _orthogonalize_right,
+    _rounding_mode,
+    _truncate_left_to_right,
     cap_ranks,
     hermitian_basis,
     is_hermitian,
@@ -56,9 +60,7 @@ from mpoqst.tt import (
     tt_from_hermitian_coordinates,
     tt_inner,
     tt_norm,
-    tt_right_orthogonalize,
     tt_round,
-    tt_round_sum,
     tt_scale,
     tt_sub,
     tt_to_dense,
@@ -231,11 +233,13 @@ def _complex_outcome_sum(outcomes, weights, povm):
 
 def _complex_empirical_operator(record, povm):
     """E as it was built before the real-coordinate path: complex
-    prefix-tree cores, then tt_right_orthogonalize."""
+    prefix-tree cores, then a right-to-left QR sweep."""
     weights = record.weights()
     outcomes = sorted(weights)
-    return tt_right_orthogonalize(_complex_outcome_sum(
-        outcomes, [weights[o] for o in outcomes], povm))
+    cores = list(_complex_outcome_sum(
+        outcomes, [weights[o] for o in outcomes], povm).cores)
+    _orthogonalize_right(cores, povm.d * povm.d)
+    return TTTensor(tuple(cores), d=povm.d)
 
 
 @pytest.mark.parametrize("kind, n", [
@@ -645,6 +649,72 @@ def test_pgd_iterates_match_whole_sum_rounding(case):
                 <= 1e-10 * tt_norm(want[k])), f"iterate {k}"
 
 
+def _qr_round_sum(a: TTTensor, b: TTTensor, target_ranks=None,
+                  truncation_tol=None) -> TTTensor:
+    """Frozen copy of tt_round_sum as it was before the Gram path:
+    tt_round(tt_add(a, b), ...) for a right-orthogonal ``b`` (see
+    :func:`tt_right_orthogonalize`) with small ranks in ``a``.
+
+    The right-to-left sweep keeps b's orthonormal rows Q and only
+    orthogonalizes the rows of a against them: at each site the
+    coefficients C = A Q^H go into the next core of a, and the residual
+    A - C Q adds at most rank(a) new orthonormal rows.  The left-to-right
+    truncation is the one of :func:`tt_round`.  With r the ranks of a and
+    R those of b, this costs O(n d^2 r R^2) instead of O(n d^2 R^3).
+    ``b`` is assumed right-orthogonal, not checked.
+    """
+    _check_compatible(a, b)
+    target_ranks = _rounding_mode(a, target_ranks, truncation_tol)
+    n, d = a.n, a.d
+    dd = d * d
+    if n == 1:
+        return TTTensor((a.cores[0] + b.cores[0],), d=d)
+    # Site l's orthonormal core is [Q_l, 0; Z_l] with Q_l = b's core
+    # unfolding (rb_l, dd*rb_{l+1}), zero-padded to the k_{l+1} residual
+    # columns of site l + 1, and Z_l the k_l residual rows.
+    qs = [c.reshape(c.shape[0], -1) for c in b.cores]
+    rb = [c.shape[0] for c in b.cores] + [1]
+    zs = [None] * n
+    k = [0] * (n + 1)
+    acore = a.cores[n - 1]  # a's core times the carry, (ra, dd, rb' + k')
+    for l in range(n - 1, 0, -1):
+        ra = acore.shape[0]
+        width = rb[l + 1] + k[l + 1]
+        on_q = acore[:, :, :rb[l + 1]].reshape(ra, -1)
+        coef = (on_q.conj() @ qs[l].T).conj()  # A Q^H, conjugating A only
+        resid = acore.astype(coef.dtype)
+        resid[:, :, :rb[l + 1]] -= (coef @ qs[l]).reshape(ra, dd, rb[l + 1])
+        # The residual lies in the complement of Q's rb_l rows, so it
+        # adds at most dd * width - rb_l new rows.
+        k[l] = min(ra, dd * width - rb[l])
+        carry = coef
+        if k[l] > 0:
+            q, rmat = np.linalg.qr(resid.reshape(ra, -1).T)
+            rz, zs[l] = rmat.T, q.T
+            if k[l] < ra:  # keep the leading k_l directions
+                u, sv, vt = np.linalg.svd(rz, full_matrices=False)
+                rz, zs[l] = u[:, :k[l]] * sv[:k[l]], vt[:k[l]] @ zs[l]
+            zs[l] = np.ascontiguousarray(zs[l])
+            carry = np.concatenate([coef, rz], axis=1)
+        prev = a.cores[l - 1]
+        acore = (prev.reshape(-1, ra) @ carry).reshape(prev.shape[0], dd, -1)
+    first = acore  # a fresh array
+    first[:, :, :rb[1]] += b.cores[0]
+
+    def absorb(l, carry):
+        r = carry.shape[0]
+        width = rb[l + 1] + k[l + 1]
+        on_q = (carry[:, :rb[l]] @ qs[l]).reshape(r, dd, rb[l + 1])
+        if zs[l] is None:  # then k_{l+1} = 0 too: no padding
+            return on_q
+        out = (carry[:, rb[l]:] @ zs[l]).reshape(r, dd, width)
+        out[:, :, :rb[l + 1]] += on_q
+        return out
+
+    return _truncate_left_to_right(first, absorb, n, d, target_ranks,
+                                   truncation_tol)
+
+
 def _complex_project(a, ranks, data=None):
     """The projection as the estimator ran it on fused complex MPOs:
     round to the ranks (against a right-orthogonal ``data`` when given),
@@ -653,7 +723,7 @@ def _complex_project(a, ranks, data=None):
     if data is None:
         a = tt_round(a, target_ranks=capped)
     else:
-        a = tt_round_sum(a, data, target_ranks=capped)
+        a = _qr_round_sum(a, data, target_ranks=capped)
     sym = tt_scale(tt_add(a, tt_adjoint(a)), 0.5)
     if a.n > 1:
         sym = tt_round(sym, target_ranks=capped)
@@ -758,6 +828,16 @@ def test_pgd_iterates_match_complex_data_operator(monkeypatch):
         got, _ = _run_iterates(pgd, rec, povm, config, monkeypatch)
         _assert_iterates_match(got, _complex_pgd_iterates(rec, povm, config),
                                label)
+
+
+def test_pgd_iterates_match_qr_path_at_n10(monkeypatch):
+    # recover-n10's setting: E's bond R is about 950, so every step rounds
+    # through large Gram matrices; the reference rounds against the QR
+    # sweep of E (_qr_round_sum)
+    rec, povm, config = _spectral_record_case("sic", 10)
+    got, _ = _run_iterates(pgd, rec, povm, config, monkeypatch)
+    _assert_iterates_match(got, _complex_pgd_iterates(rec, povm, config),
+                           "spectral-n10")
 
 
 def _psgd_pinned_n5_case():

@@ -27,7 +27,7 @@ from mpoqst.tt import (
     tt_from_json_dict,
     tt_inner,
     tt_norm,
-    tt_right_orthogonalize,
+    tt_right_grams,
     tt_round,
     tt_round_sum,
     tt_scale,
@@ -240,7 +240,7 @@ def test_round_zero_tensor():
 
 
 # ---------------------------------------------------------------------------
-# rounding a sum with a fixed right-orthogonal summand
+# rounding a sum through the right Gram matrices of one summand
 
 
 def _rel_dist(x, ref):
@@ -249,16 +249,26 @@ def _rel_dist(x, ref):
 
 def test_right_orthogonalize_rows_orthonormal():
     a = random_tt(5, 2, (4, 9, 9, 4), seed=17)
-    b = tt_right_orthogonalize(a)
+    cores = list(a.cores)
+    _orthogonalize_right(cores, 4)
+    b = TTTensor(tuple(cores), d=2)
     assert _rel_dist(b, a) <= 1e-13
     assert b.cores[0].shape[0] == 1
     for core in b.cores[1:]:
         q = core.reshape(core.shape[0], -1)
         assert q.flags.c_contiguous
         assert np.abs(q @ q.conj().T - np.eye(q.shape[0])).max() <= 1e-13
-    # tt_scale changes only the first core, so it keeps the form
-    assert all(x is y for x, y in zip(tt_scale(b, -2.5).cores[1:],
-                                      b.cores[1:]))
+
+
+def _random_chain(n, d, ranks, seed):
+    """Complex TT with random cores and the given internal ranks, which
+    may pass the structural caps (random_tt rejects that)."""
+    rng = np.random.default_rng(seed)
+    full = (1,) + tuple(ranks) + (1,)
+    return TTTensor(tuple(rng.standard_normal((full[l], d * d, full[l + 1]))
+                          + 1j * rng.standard_normal((full[l], d * d,
+                                                      full[l + 1]))
+                          for l in range(n)), d=d)
 
 
 @pytest.mark.parametrize("n, d, ranks_a, ranks_b", [
@@ -269,37 +279,54 @@ def test_right_orthogonalize_rows_orthonormal():
     (3, 3, (5, 5), (4, 8)),
     (6, 2, (4, 4, 4, 4, 4), (4, 16, 64, 16, 4)),
     (6, 2, (2, 3, 4, 3, 2), (4, 13, 40, 11, 4)),
+    (4, 2, (2, 3, 2), (6, 20, 7)),  # b's bonds over the caps (4, 16, 4)
 ])
 def test_round_sum_matches_round_of_sum(n, d, ranks_a, ranks_b):
     a = random_tt(n, d, ranks_a, seed=18)
-    b = tt_right_orthogonalize(tt_scale(random_tt(n, d, ranks_b, seed=19),
-                                        0.3))
+    b = tt_scale(_random_chain(n, d, ranks_b, seed=19), 0.3)
+    grams = tt_right_grams(b)
     caps = max_tt_ranks(n, d)
-    modes = [dict(target_ranks=caps),
-             dict(target_ranks=tuple(min(2, c) for c in caps)),
-             dict(truncation_tol=1e-2), dict(truncation_tol=1e-12)]
-    for kwargs in modes:
+    for target in (caps, tuple(min(2, c) for c in caps)):
         for left in (a, tt_zeros(n, d)):
-            want = tt_round(tt_add(left, b), **kwargs)
-            got = tt_round_sum(left, b, **kwargs)
+            want = tt_round(tt_add(left, b), target_ranks=target)
+            got = tt_round_sum(left, b, grams, target)
             assert got.ranks == want.ranks
             assert _rel_dist(got, want) <= 1e-12
 
 
+@pytest.mark.parametrize("n, d, ranks", [
+    (1, 2, ()), (2, 3, (5,)), (3, 2, (3, 6)), (4, 2, (2, 5, 3))])
+def test_right_grams_match_brute_force(n, d, ranks):
+    # G_l[i, j] is the inner product of the right parts that start from
+    # bond indices i and j, each a TT of the cores right of bond l
+    b = _random_chain(n, d, ranks, seed=23)
+    grams = tt_right_grams(b)
+    assert len(grams) == n
+    assert np.array_equal(grams[-1], np.ones((1, 1)))
+    # tt_scale changes only core 0, which no Gram reads
+    assert all(np.array_equal(x, y) for x, y in
+               zip(tt_right_grams(tt_scale(b, -2.5)), grams))
+    for l in range(n - 1):
+        rest = b.cores[l + 2:]
+        parts = [TTTensor((b.cores[l + 1][i:i + 1],) + rest, d=d)
+                 for i in range(b.ranks[l + 1])]
+        want = np.array([[tt_inner(pj, pi) for pj in parts] for pi in parts])
+        assert np.abs(grams[l] - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_round_sum_validates_like_round():
     a = random_tt(3, 2, (2, 2), seed=20)
-    b = tt_right_orthogonalize(random_tt(3, 2, (3, 3), seed=21))
+    b = random_tt(3, 2, (3, 3), seed=21)
+    grams = tt_right_grams(b)
     with pytest.raises(ValueError):
-        tt_round_sum(a, b)
+        tt_round_sum(a, b, grams, (5, 5))
     with pytest.raises(ValueError):
-        tt_round_sum(a, b, target_ranks=(5, 5))
-    with pytest.raises(ValueError):
-        tt_round_sum(a, tt_right_orthogonalize(random_tt(4, 2, (2, 2, 2),
-                                                         seed=22)),
-                     target_ranks=(2, 2))
+        tt_round_sum(a, random_tt(4, 2, (2, 2, 2), seed=22),
+                     tt_right_grams(random_tt(4, 2, (2, 2, 2), seed=22)),
+                     (2, 2))
     # a sum that cancels rounds to the exact zero, as in tt_round
     b = tt_scale(b, 1.0 / tt_norm(b))
-    z = tt_round_sum(tt_scale(b, -1.0), b, truncation_tol=1e-10)
+    z = tt_round_sum(tt_scale(b, -1.0), b, tt_right_grams(b), (2, 2))
     assert z.ranks == (1, 1, 1, 1) and tt_norm(z) == 0.0
 
 
