@@ -21,13 +21,14 @@ data term E = sum_k p_hat_k A_k that is fixed for a given record.  E is
 assembled once as an exact MPO whose bond bases are the distinct observed
 outcome prefixes/suffixes, so its bond R grows with the number of
 distinct outcomes.  E is never orthogonalized: the Gram matrices of its
-right parts are formed once per run (tt_right_grams, two matrix products
-per bond), and each step rounds rho - mu Phi(rho) + mu E from them with
-``tt_round_sum``, one eigenproblem of size r d^2 per bond at O(n d^2 r
-R^2) per step instead of the O(n d^2 R^3) of rounding the whole sum.
-PGD's spectral initialization and loss cross term <E, rho> read the
-same E; PSGD builds none and takes the cross term from the amplitudes
-of the record's observed outcomes.
+right parts are read off the same outcome prefix tree once per run
+(_trie_grams: gathers and segment sums, no product over E's mostly-zero
+dense cores), and each step rounds rho - mu Phi(rho) + mu E from them
+with ``tt_round_sum``, one eigenproblem of size r d^2 per bond at O(n
+d^2 r R^2) per step instead of the O(n d^2 R^3) of rounding the whole
+sum.  PGD's spectral initialization and loss cross term <E, rho> read
+the same E.  PSGD and the public ``loss`` build none: they take the
+cross term from the amplitudes of the record's observed outcomes.
 
 One loop (``_descend``) runs PGD on MPOs, PGD on dense matrices (the
 reference backend for small n) and PSGD.  It owns the step schedule,
@@ -67,7 +68,6 @@ from .tt import (
     tt_from_hermitian_coordinates,
     tt_inner,
     tt_norm,
-    tt_right_grams,
     tt_round,
     tt_round_sum,
     tt_scale,
@@ -218,45 +218,47 @@ class Estimate:
 # sparse outcome sums as exact MPOs
 
 
-def _trie_cores(outcomes, weights, povm: ProductPOVM, local: list) -> list:
-    """Cores of the exact MPO sum_k w_k v_{i_1(k)} x ... x v_{i_n(k)},
-    where local[l] holds site l's vectors v_i as rows (k_loc, d*d) and
-    sets the cores' dtype.
+@dataclass(frozen=True)
+class _Trie:
+    """The prefix tree of a weighted outcome list, as group ids over its
+    lexicographically sorted (U, n) rows of 0-based indices.
 
-    Bond bases are the distinct outcome prefixes left of a bridge site and
-    the distinct suffixes right of it, so the representation is exact with
-    bond dimensions min(#prefixes, #suffixes) and never grows with the
-    number of terms beyond the enumeration caps.
+    ``bridge`` is the 1-based site whose core carries the weights.
+    prefix[l] holds each row's id of its length-l prefix (l < bridge) and
+    first[l] the first row of each distinct prefix, in id order.
+    suffix[c] holds each row's id of its suffix from column c
+    (c >= bridge) and rep[c] one row of each distinct suffix, in id
+    order."""
 
-    The bases come from group ids over the lexicographically sorted
-    (U, n) outcome matrix: a prefix id is the number of prefix changes
-    down the sorted rows, and the suffix ids are ranked from the right,
-    each column sorted together with the ids of the suffix after it.  The
-    cores are filled by scatter, the bridge core by accumulation in sorted
-    outcome order.
-    """
+    rows: np.ndarray
+    weights: np.ndarray
+    bridge: int
+    prefix: list
+    first: list
+    suffix: dict
+    rep: dict
+
+
+def _outcome_trie(outcomes, weights, povm: ProductPOVM) -> _Trie:
+    """The one id pass over the sorted outcomes that both _trie_cores and
+    _trie_grams read.  A prefix id is the number of prefix changes down
+    the sorted rows, so the ids of each length are sorted; the suffix ids
+    are ranked from the right, each column sorted together with the ids
+    of the suffix after it."""
     n = povm.n
-    dd = povm.d * povm.d
     rows = _outcome_indices(povm, outcomes)
     if not len(rows):
         raise ValueError("need at least one outcome")
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
-    weights = np.asarray(weights)[order]
     u = len(rows)
-    bridge = (n + 1) // 2  # 1-based site carrying the weights
-    dtype = local[0].dtype
-
-    # prefix[l]: id of each row's length-l prefix (l < bridge), and
-    # first[l]: the first row of each distinct prefix, in id order
+    bridge = (n + 1) // 2
     prefix, first = [np.zeros(u, dtype=np.intp)], [np.zeros(1, np.intp)]
     changed = np.zeros(u, dtype=bool)
     for l in range(1, bridge):
         changed[1:] |= rows[1:, l - 1] != rows[:-1, l - 1]
         prefix.append(np.cumsum(changed))
         first.append(np.flatnonzero(np.diff(prefix[-1], prepend=-1)))
-    # suffix[c]: id of each row's suffix from column c (c >= bridge), and
-    # rep[c]: one row of each distinct suffix, in id order
     suffix = {n: np.zeros(u, dtype=np.intp)}
     rep = {n: np.zeros(1, dtype=np.intp)}
     for c in range(n - 1, bridge - 1, -1):
@@ -267,9 +269,30 @@ def _trie_cores(outcomes, weights, povm: ProductPOVM, local: list) -> list:
         suffix[c] = np.empty(u, dtype=np.intp)
         suffix[c][by] = np.cumsum(new) - 1
         rep[c] = by[new]
+    return _Trie(rows, np.asarray(weights)[order], bridge, prefix, first,
+                 suffix, rep)
 
+
+def _trie_cores(trie: _Trie, local: list) -> list:
+    """Cores of the exact MPO sum_k w_k v_{i_1(k)} x ... x v_{i_n(k)} of
+    the trie's outcomes and weights, where local[l] holds site l's vectors
+    v_i as rows (k_loc, d*d) and sets the cores' dtype.
+
+    Bond bases are the distinct outcome prefixes left of the bridge site
+    and the distinct suffixes right of it, so the representation is exact
+    with bond dimensions min(#prefixes, #suffixes) and never grows with
+    the number of terms beyond the enumeration caps.  A prefix core has
+    one parent row and one coordinate per column, a suffix core one
+    coordinate and one child column per row; both are filled by scatter
+    from the trie's ids, the bridge core by accumulation in sorted
+    outcome order.
+    """
+    rows, bridge = trie.rows, trie.bridge
+    prefix, first, suffix, rep = trie.prefix, trie.first, trie.suffix, trie.rep
+    dd = local[0].shape[1]
+    dtype = local[0].dtype
     cores = []
-    for l in range(1, n + 1):
+    for l in range(1, rows.shape[1] + 1):
         vec, col = local[l - 1], rows[:, l - 1]
         if l < bridge:
             take = first[l]
@@ -278,13 +301,68 @@ def _trie_cores(outcomes, weights, povm: ProductPOVM, local: list) -> list:
         elif l == bridge:
             core = np.zeros((len(first[l - 1]), dd, len(rep[l])), dtype=dtype)
             np.add.at(core, (prefix[l - 1], slice(None), suffix[l]),
-                      weights[:, None] * vec[col])
+                      trie.weights[:, None] * vec[col])
         else:
             take = rep[l - 1]
             core = np.zeros((len(take), dd, len(rep[l])), dtype=dtype)
             core[np.arange(len(take)), :, suffix[l][take]] = vec[col[take]]
         cores.append(core)
     return cores
+
+
+def _trie_grams(trie: _Trie, local: list) -> list:
+    """The right Gram matrices of the TT whose cores _trie_cores(trie,
+    local) fills, equal to tt._right_grams of it with itself, but read
+    off the trie's ids with no product over those mostly-zero cores.
+
+    With Gv = V V^H for site l's rows V = local[l] and G the Gram right of
+    a core:
+    - a suffix core (row i: coordinate c_i, one child ch_i) gives
+      Gv[c][:, c] * G[ch][:, ch], a gather, O(R^2);
+    - a prefix core (column j: one parent p_j, coordinate c_j) gives
+      Gv[c][:, c] * G summed over the sorted parent segments on both
+      axes;
+    - the bridge core holds one row w_k V[c_k] per outcome k, with suffix
+      id s_k, and the outcomes of each prefix are contiguous.  Per prefix
+      p, A_p = (w V[c])_p^T G[s_p], and entry (p, q) sums A_p[:, s_k] .
+      conj(w_k V[c_k]) over the outcomes k of prefix q; only q >= p is
+      formed, the rest is the Hermitian mirror.  O(d^2 U (R + P)) for U
+      outcomes and P prefixes, and nothing larger than a (U, d*d) block
+      beside the Grams.
+    Core 0 is never read, as in tt._right_grams.
+    """
+    rows, bridge = trie.rows, trie.bridge
+    n = rows.shape[1]
+    gv = [v @ v.conj().T for v in local]
+    grams = [np.ones((1, 1))]
+    for l in range(n, 1, -1):  # site l's core gives the Gram left of it
+        g, col = grams[-1], rows[:, l - 1]
+        if l > bridge:
+            take = trie.rep[l - 1]
+            c, ch = col[take], trie.suffix[l][take]
+            grams.append(np.take(gv[l - 1][c], c, axis=1)
+                         * np.take(g[ch], ch, axis=1))
+        elif l < bridge:
+            take = trie.first[l]
+            c, parent = col[take], trie.prefix[l - 1][take]
+            seg = np.flatnonzero(np.diff(parent, prepend=-1))
+            h = np.take(gv[l - 1][c], c, axis=1) * g
+            grams.append(np.add.reduceat(np.add.reduceat(h, seg, axis=0),
+                                         seg, axis=1))
+        else:
+            wv = trie.weights[:, None] * local[l - 1][col]  # (U, dd)
+            wv_h = np.ascontiguousarray(wv.conj().T)
+            s, seg = trie.suffix[l], trie.first[l - 1]
+            ends = np.append(seg[1:], len(rows))
+            out = np.zeros((len(seg), len(seg)), dtype=np.result_type(wv, g))
+            # row p from its prefix's rows on: the rest is its mirror
+            for p, (lo, hi) in enumerate(zip(seg, ends)):
+                a_p = wv[lo:hi].T @ g[s[lo:hi]]  # (dd, S)
+                t = np.take(a_p, s[lo:], axis=1) * wv_h[:, lo:]
+                out[p, p:] = np.add.reduceat(t.sum(axis=0), seg[p:] - lo)
+            out += np.triu(out, 1).conj().T
+            grams.append(out)
+    return grams[::-1]
 
 
 def outcome_sum_tt(outcomes, weights, povm: ProductPOVM,
@@ -296,17 +374,21 @@ def outcome_sum_tt(outcomes, weights, povm: ProductPOVM,
     k_loc > d^2; tt_round cuts them."""
     if local is None:
         local = povm.fused()
-    return TTTensor(tuple(_trie_cores(outcomes, weights, povm, local)),
-                    d=povm.d)
+    trie = _outcome_trie(outcomes, weights, povm)
+    return TTTensor(tuple(_trie_cores(trie, local)), d=povm.d)
 
 
-def _empirical_coordinates(record, povm: ProductPOVM) -> TTTensor:
-    """E = sum_k p_hat_k A_k as the raw prefix-tree TT in the coordinates
-    of tt.hermitian_basis, real as p_hat is real and every A_k Hermitian.
-    It is not orthogonalized: tt_round_sum reads it through its right
-    Gram matrices, also where a bond passes its cap (k_loc > d^2)."""
-    return outcome_sum_tt(record.outcomes, record.p_hat, povm,
-                          povm.hermitian_coordinates())
+def _empirical_coordinates(record, povm: ProductPOVM) -> tuple:
+    """(E, grams): E = sum_k p_hat_k A_k as the raw prefix-tree TT in the
+    coordinates of tt.hermitian_basis, real as p_hat is real and every A_k
+    Hermitian, and its right Gram matrices from _trie_grams, both from one
+    pass over the record's outcomes.  E is not orthogonalized:
+    tt_round_sum reads it through the Grams, also where a bond passes its
+    cap (k_loc > d^2)."""
+    local = povm.hermitian_coordinates()
+    trie = _outcome_trie(record.outcomes, record.p_hat, povm)
+    emp = TTTensor(tuple(_trie_cores(trie, local)), d=povm.d)
+    return emp, _trie_grams(trie, local)
 
 
 def empirical_operator(record, povm: ProductPOVM) -> TTTensor:
@@ -315,7 +397,8 @@ def empirical_operator(record, povm: ProductPOVM) -> TTTensor:
     (a right-to-left QR sweep, after a left-to-right one cuts any bond
     over its structural cap).  ValueError when a POVM element is not
     Hermitian."""
-    cores = list(_empirical_coordinates(record, povm).cores)
+    cores = list(outcome_sum_tt(record.outcomes, record.p_hat, povm,
+                                povm.hermitian_coordinates()).cores)
     dd = povm.d * povm.d
     if any(c.shape[2] > cap
            for c, cap in zip(cores, max_tt_ranks(povm.n, povm.d))):
@@ -337,11 +420,13 @@ def _loss_from_parts(state, channel, cross: float, weight_sq: float) -> float:
 
 def loss(state: TTTensor, record, povm: ProductPOVM) -> float:
     """|| A(rho) - p_hat ||_2^2 without enumerating zero-count outcomes:
-    <rho, Phi(rho)> - 2 <data, rho> + sum p_hat^2 with Phi the measurement
-    channel and data the empirical-operator MPO."""
-    empirical = empirical_operator(record, povm)
-    channel = sum_channel(povm, state)
-    return _loss_from_parts(state, channel, tt_inner(state, empirical).real,
+    <rho, Phi(rho)> - 2 <E, rho> + sum p_hat^2 with Phi the measurement
+    channel.  The cross term <E, rho> = sum_k p_hat_k <A_k, rho> is read
+    off the amplitudes of the record's outcomes, as in PSGD's loss, so no
+    E is built."""
+    amps = outcome_amplitudes(povm, state, record.outcomes)
+    return _loss_from_parts(state, sum_channel(povm, state),
+                            float((record.p_hat @ amps).real),
                             _weight_sq(record))
 
 
@@ -399,8 +484,8 @@ def _coordinate_trace(x: TTTensor) -> float:
 def _project(x: TTTensor, ranks, round_tol: float = None,
              data: TTTensor = None, grams: list = None) -> TTTensor:
     """project_mpo in coordinates, of x plus ``data`` when given, rounded
-    by tt_round_sum from data's right Gram matrices ``grams``
-    (tt_right_grams)."""
+    by tt_round_sum from data's right Gram matrices ``grams`` (for E,
+    the _trie_grams of _empirical_coordinates)."""
     capped = cap_ranks(ranks, x.n, x.d)
     if data is None:
         x = tt_round(x, target_ranks=capped)
@@ -444,14 +529,15 @@ def random_init(ranks, n: int, d: int, seed: int) -> TTTensor:
 
 def _initial_state(record, povm, config: EstimatorConfig, ranks,
                    empirical: TTTensor = None, grams: list = None) -> TTTensor:
-    """The start in coordinates; ``empirical``, if given, is the record's
-    _empirical_coordinates and ``grams`` its tt_right_grams."""
+    """The start in coordinates.  The spectral start rounds the scaled E
+    through E's trie Grams; ``empirical`` and ``grams``, if given, are
+    the record's _empirical_coordinates, else they are built here (the
+    dense backend and PSGD)."""
     if config.init == "spectral":
         if not record.weights():
             raise ValueError("record is empty")
         if empirical is None:
-            empirical = _empirical_coordinates(record, povm)
-            grams = tt_right_grams(empirical)
+            empirical, grams = _empirical_coordinates(record, povm)
         n, d = povm.n, povm.d
         scale = povm.k_total * (d ** n + 1) / d ** n
         return _project(tt_zeros(n, d), ranks,
@@ -620,11 +706,11 @@ def pgd(record, povm: ProductPOVM, config: EstimatorConfig,
 
 
 def _tt_pgd(record, povm, config, ranks):
-    """PGD on MPOs: E and its right Gram matrices once, then each step
-    rounds rho - mu Phi(rho) + mu E through them.  The loss and the next
-    step share one sum_channel per iterate."""
-    emp = _empirical_coordinates(record, povm)
-    grams = tt_right_grams(emp)
+    """PGD on MPOs: E and its right Gram matrices once, from the
+    record's prefix tree, then each step rounds rho - mu Phi(rho) + mu E
+    through them.  The loss and the next step share one sum_channel per
+    iterate."""
+    emp, grams = _empirical_coordinates(record, povm)
     local = povm.hermitian_coordinates()
     state = _initial_state(record, povm, config, ranks, emp, grams)
     weight_sq = _weight_sq(record)

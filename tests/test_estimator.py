@@ -1,15 +1,19 @@
 """Least-squares estimator: loss, gradient, projections, descent loops."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from mpoqst import estimator
+from mpoqst import estimator, tt
 from mpoqst.estimator import (
     STEP_PRESETS,
     EstimatorConfig,
+    _empirical_coordinates,
+    _outcome_trie,
     _trie_cores,
+    _trie_grams,
     _zero_outcome_filler,
     empirical_operator,
     loss,
@@ -48,6 +52,7 @@ from mpoqst.tt import (
     TTTensor,
     _check_compatible,
     _orthogonalize_right,
+    _right_grams,
     _rounding_mode,
     _truncate_left_to_right,
     cap_ranks,
@@ -150,7 +155,8 @@ def test_trie_cores_match_tuple_set_builder(n):
     rec = sample_sequential(povm, _mpdo(n, seed=80 + n), 3000, seed=81)
     for local in ([site.hermitian_coordinates() for site in povm.sites],
                   [site.fused() for site in povm.sites]):
-        got = _trie_cores(rec.outcomes, rec.p_hat, povm, local)
+        got = _trie_cores(_outcome_trie(rec.outcomes, rec.p_hat, povm),
+                          local)
         want = _trie_cores_by_tuple_sets(
             list(map(tuple, rec.outcomes.tolist())), list(rec.p_hat), povm,
             local)
@@ -170,7 +176,7 @@ def test_trie_cores_match_tuple_set_builder_on_batches(n, batch):
     outcomes = outcomes[rng.permutation(len(outcomes))]
     coeffs = rng.standard_normal(len(outcomes))
     local = [site.fused() for site in povm.sites]
-    got = _trie_cores(outcomes, coeffs, povm, local)
+    got = _trie_cores(_outcome_trie(outcomes, coeffs, povm), local)
     want = _trie_cores_by_tuple_sets(outcomes.tolist(), coeffs, povm, local)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -274,6 +280,127 @@ def test_empirical_operator_rejects_non_hermitian_element():
                         povm_id="", seed=0)
     with pytest.raises(ValueError, match="not Hermitian"):
         empirical_operator(rec, povm)
+
+
+def _mixed_povm_and_record(n):
+    # Pauli-6 on every other site: bonds pass their structural caps
+    povm = ProductPOVM(sites=tuple(_pauli6() if l % 2 else sic_qubit()
+                                   for l in range(n)))
+    return povm, sample_sequential(povm, _mpdo(n, seed=94), 3000, seed=95)
+
+
+def _counts_record(povm, counts):
+    return OutcomeRecord(counts=counts, m_shots=sum(counts.values()),
+                         povm_id=povm.identifier(), seed=0)
+
+
+def _one_outcome_case():
+    povm = ProductPOVM.local_sic(5)
+    return povm, _counts_record(povm, {(2, 3, 1, 4, 1): 7})
+
+
+def _long_prefix_case():
+    # every outcome shares the prefix (1, 2, 3, 4): one prefix per bond
+    povm = ProductPOVM.local_sic(6)
+    counts = {(1, 2, 3, 4, i, j): i + 2 * j for i in (1, 3, 4) for j in (2, 4)}
+    return povm, _counts_record(povm, counts)
+
+
+GRAM_CASES = {
+    "sic-n1": lambda: _povm_and_record("sic", 1),
+    "sic-n2": lambda: _povm_and_record("sic", 2),  # no prefix core
+    "sic-n3": lambda: _povm_and_record("sic", 3),
+    "sic-n5": lambda: _povm_and_record("sic", 5),
+    "sic-n8": lambda: _povm_and_record("sic", 8),
+    "sic-n10": lambda: _povm_and_record("sic", 10),
+    "pauli6-n4": lambda: _povm_and_record("pauli6", 4),
+    "pauli6-n6": lambda: _povm_and_record("pauli6", 6),
+    "qutrit-n3": lambda: _povm_and_record("qutrit", 3),
+    "pauli6-sic-n7": lambda: _mixed_povm_and_record(7),
+    "one-outcome": _one_outcome_case,
+    "long-prefix": _long_prefix_case,
+}
+
+
+def _assert_grams_match(got, want):
+    # entrywise, relative to each Gram's largest entry
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("case", GRAM_CASES.values(), ids=GRAM_CASES.keys())
+def test_trie_grams_match_dense_oracle(case):
+    # the Grams of E read off the trie against tt._right_grams(E, E),
+    # which multiplies E's dense cores
+    povm, rec = case()
+    emp, grams = _empirical_coordinates(rec, povm)
+    _assert_grams_match(grams, _right_grams(emp, emp))
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_trie_grams_of_complex_cores_match_dense_oracle(n):
+    # the fused (complex) rows of a PSGD batch, weights of both signs
+    povm = ProductPOVM.local_sic(n)
+    rng = np.random.default_rng(n)
+    outcomes = rng.integers(1, 5, size=(40, n))
+    coeffs = rng.standard_normal(len(outcomes))
+    trie = _outcome_trie(outcomes, coeffs, povm)
+    local = povm.fused()
+    _assert_grams_match(_trie_grams(trie, local),
+                        _dense_core_grams(trie, local))
+
+
+def _dense_core_grams(trie, local):
+    """E's Grams as formed before the trie rule: two matrix products per
+    bond over E's dense cores."""
+    d = math.isqrt(local[0].shape[1])
+    e = TTTensor(tuple(_trie_cores(trie, local)), d=d)
+    return _right_grams(e, e)
+
+
+@pytest.mark.parametrize("case, tol", [
+    ("sic-n1", 1e-10), ("sic-n2", 1e-10), ("one-outcome", 1e-10),
+    ("pauli6-sic-n7", 1e-10), ("qutrit-n3", 1e-10),
+    # E has rank 2 here and the fit rank 4, so the kept directions carry
+    # tiny singular values, which eigenvectors of Y G Y^T resolve only to
+    # eps sigma_1^2 / sigma_4: both Gram paths sit 6e-11 to 2e-10 from
+    # the QR roundings (which agree to 3e-15) and from each other
+    ("long-prefix", 1e-9),
+])
+def test_pgd_iterates_match_dense_core_grams(case, tol, monkeypatch):
+    povm, rec = GRAM_CASES[case]()
+    config = EstimatorConfig(ranks=4, init="spectral", max_iters=4,
+                             plateau_window=5,
+                             **STEP_PRESETS["pgd-spectral-rank4"])
+    got, _ = _run_iterates(pgd, rec, povm, config, monkeypatch)
+    monkeypatch.setattr(estimator, "_trie_grams", _dense_core_grams)
+    want, _ = _run_iterates(pgd, rec, povm, config, monkeypatch)
+    assert len(got) == len(want) == 5
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert tt_norm(tt_sub(g, w)) <= tol * tt_norm(w), f"iterate {k}"
+
+
+def test_no_gram_product_over_e_on_pgd_and_spectral_paths(monkeypatch):
+    # E's Grams come from the trie: the only Gram walk left is
+    # tt_round_sum's, over the rank-<=2r iterate (and against E)
+    assert not hasattr(tt, "tt_right_grams")
+    walk = tt._right_grams
+
+    def guarded(a, *others):
+        if max(a.ranks) > 8:
+            raise AssertionError(f"Gram walk over a TT of ranks {a.ranks}")
+        return walk(a, *others)
+
+    monkeypatch.setattr(tt, "_right_grams", guarded)
+    povm, rec = _povm_and_record("sic", 8)
+    config = EstimatorConfig(ranks=4, init="spectral", max_iters=2)
+    pgd(rec, povm, config)
+    spectral_init(rec, povm, 4)
+    psgd(rec, povm, dataclasses.replace(config, max_epochs=0))
+    povm, rec = _povm_and_record("sic", 5)  # E's middle bonds are 16
+    pgd(rec, povm, dataclasses.replace(config, backend="dense"))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from mpoqst.tt import (
     TTTensor,
     _orthogonalize_left,
     _orthogonalize_right,
+    _right_grams,
     fuse_dense_to_tensor,
     fuse_local_operator,
     hermitian_basis,
@@ -27,7 +28,6 @@ from mpoqst.tt import (
     tt_from_json_dict,
     tt_inner,
     tt_norm,
-    tt_right_grams,
     tt_round,
     tt_round_sum,
     tt_scale,
@@ -284,7 +284,7 @@ def _random_chain(n, d, ranks, seed):
 def test_round_sum_matches_round_of_sum(n, d, ranks_a, ranks_b):
     a = random_tt(n, d, ranks_a, seed=18)
     b = tt_scale(_random_chain(n, d, ranks_b, seed=19), 0.3)
-    grams = tt_right_grams(b)
+    grams = _right_grams(b, b)
     caps = max_tt_ranks(n, d)
     for target in (caps, tuple(min(2, c) for c in caps)):
         for left in (a, tt_zeros(n, d)):
@@ -300,12 +300,12 @@ def test_right_grams_match_brute_force(n, d, ranks):
     # G_l[i, j] is the inner product of the right parts that start from
     # bond indices i and j, each a TT of the cores right of bond l
     b = _random_chain(n, d, ranks, seed=23)
-    grams = tt_right_grams(b)
+    grams = _right_grams(b, b)
     assert len(grams) == n
     assert np.array_equal(grams[-1], np.ones((1, 1)))
     # tt_scale changes only core 0, which no Gram reads
     assert all(np.array_equal(x, y) for x, y in
-               zip(tt_right_grams(tt_scale(b, -2.5)), grams))
+               zip(_right_grams(tt_scale(b, -2.5), b), grams))
     for l in range(n - 1):
         rest = b.cores[l + 2:]
         parts = [TTTensor((b.cores[l + 1][i:i + 1],) + rest, d=d)
@@ -314,19 +314,32 @@ def test_right_grams_match_brute_force(n, d, ranks):
         assert np.abs(grams[l] - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("n, d, ranks_a, ranks_b", [
+    (1, 2, (), ()), (2, 2, (2,), (3,)), (4, 2, (2, 3, 2), (6, 20, 7)),
+    (3, 3, (5, 5), (4, 8))])
+def test_right_grams_stack_one_block_per_tt(n, d, ranks_a, ranks_b):
+    # tt_round_sum's one walk gives a's own and cross Grams side by side
+    a = _random_chain(n, d, ranks_a, seed=24)
+    b = _random_chain(n, d, ranks_b, seed=25)
+    for got, g_aa, g_ab in zip(_right_grams(a, a, b), _right_grams(a, a),
+                               _right_grams(a, b)):
+        want = np.concatenate([g_aa, g_ab], axis=1)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_round_sum_validates_like_round():
     a = random_tt(3, 2, (2, 2), seed=20)
     b = random_tt(3, 2, (3, 3), seed=21)
-    grams = tt_right_grams(b)
+    grams = _right_grams(b, b)
     with pytest.raises(ValueError):
         tt_round_sum(a, b, grams, (5, 5))
+    c = random_tt(4, 2, (2, 2, 2), seed=22)
     with pytest.raises(ValueError):
-        tt_round_sum(a, random_tt(4, 2, (2, 2, 2), seed=22),
-                     tt_right_grams(random_tt(4, 2, (2, 2, 2), seed=22)),
-                     (2, 2))
+        tt_round_sum(a, c, _right_grams(c, c), (2, 2))
     # a sum that cancels rounds to the exact zero, as in tt_round
     b = tt_scale(b, 1.0 / tt_norm(b))
-    z = tt_round_sum(tt_scale(b, -1.0), b, tt_right_grams(b), (2, 2))
+    z = tt_round_sum(tt_scale(b, -1.0), b, _right_grams(b, b), (2, 2))
     assert z.ranks == (1, 1, 1, 1) and tt_norm(z) == 0.0
 
 
