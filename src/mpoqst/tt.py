@@ -465,26 +465,16 @@ def tt_round(a: TTTensor, target_ranks=None, truncation_tol=None) -> TTTensor:
                                    truncation_tol)
 
 
-def _right_grams(a: TTTensor, *others: TTTensor) -> list:
-    """Entry l holds A_l B_l^H for each b of ``others``, side by side, row
-    i of A_l (B_l) being the tensor that the cores right of bond l (right
-    of core l, 0-based) make from bond index i; the last entry is ones.
-    _right_grams(b, b) is the Gram list that :func:`tt_round_sum` takes.
-    One right-to-left walk: per bond, one stacked product carries every
-    block through a's core, and one product per b closes its block with
-    b's core.  Core 0 is never read, so the Grams serve every tt_scale of
-    a and b."""
-    grams = [np.ones((1, len(others)))]
-    for ca, *cbs in zip(a.cores[:0:-1], *(b.cores[:0:-1] for b in others)):
-        r0, dd, _ = ca.shape
-        t = (ca.reshape(-1, ca.shape[2]) @ grams[-1]).reshape(r0, dd, -1)
-        at, blocks = 0, []
-        for cb in cbs:
-            r1 = cb.shape[2]
-            blocks.append(t[:, :, at:at + r1].reshape(r0, -1)
-                          @ cb.reshape(cb.shape[0], -1).conj().T)
-            at += r1
-        grams.append(np.concatenate(blocks, axis=1))
+def _right_grams(a: TTTensor, b: TTTensor) -> list:
+    """Entry l is A_l B_l^H, row i of A_l (B_l) being the tensor that the
+    cores right of bond l (right of core l, 0-based) make from bond index
+    i; the last is [[1]].  _right_grams(b, b) is the Gram list that
+    :func:`tt_round_sum` takes.  Two matrix products per bond; core 0 is
+    never read, so the Grams serve every tt_scale of a and b."""
+    grams = [np.ones((1, 1))]
+    for ca, cb in zip(a.cores[:0:-1], b.cores[:0:-1]):
+        t = (ca.reshape(-1, ca.shape[2]) @ grams[-1]).reshape(ca.shape[0], -1)
+        grams.append(t @ cb.reshape(cb.shape[0], -1).conj().T)
     return grams[::-1]
 
 
@@ -494,15 +484,12 @@ def tt_round_sum(a: TTTensor, b: TTTensor, grams: list,
     ``grams`` (as _right_grams(b, b) forms them), with no QR of b.  Left
     to right, the sum's unfolding at bond l is Y W, Y = carry [a_l | b_l]
     and W the stacked right parts, so its kept left singular vectors are
-    the top eigenvectors of Y (W W^H) Y^H, built from a's own and cross
-    Grams (one walk, _right_grams(a, a, b)) and ``grams[l]``; they become
-    the core, and carry their projection of Y on.  A bond that keeps all
-    r d^2 directions takes the identity instead, as any orthonormal basis
-    of them gives the same sum, and needs no eigenproblem.  span caps each
-    bond as tt_round's QR sweep does.  Per call this costs O(n d^2 r R^2)
-    for ranks r of a and R of b.  The cores before the last are
-    orthonormal, so the last one holds the norm that decides when the sum
-    cancels to the exact zero.
+    the top eigenvectors of Y (W W^H) Y^H, built from a's Grams, the
+    cross Grams and ``grams[l]``; they become the core, and carry their
+    projection of Y on.  span caps each bond as tt_round's QR sweep does.
+    Per call this costs O(n d^2 r R^2) for ranks r of a and R of b.  The
+    cores before the last are orthonormal, so the last one holds the norm
+    that decides when the sum cancels to the exact zero.
     """
     _check_compatible(a, b)
     target_ranks = _validate_ranks(target_ranks, a.n, a.d)
@@ -510,38 +497,31 @@ def tt_round_sum(a: TTTensor, b: TTTensor, grams: list,
     dd = d * d
     if n == 1:
         return TTTensor((a.cores[0] + b.cores[0],), d=d)
-    g_a = _right_grams(a, a, b)  # [G_aa | G_ab] per bond
+    g_aa, g_ab = _right_grams(a, a), _right_grams(a, b)
     span = [1]
     for ra, rb in zip(a.ranks[-2:0:-1], b.ranks[-2:0:-1]):
         span.insert(0, min(ra + rb, dd * span[0]))
-    carry = np.ones((1, 2))  # onto a's bond, then b's
+    ca = cb = np.ones((1, 1))  # carry onto a's and b's bond
     cores = []
-    for l, (ca, cb) in enumerate(zip(a.cores[:-1], b.cores[:-1])):
-        r, ra, rb = carry.shape[0], ca.shape[0], cb.shape[0]
-        y = np.concatenate(
-            [(carry[:, :ra] @ ca.reshape(ra, -1)).reshape(r * dd, -1),
-             (carry[:, ra:] @ cb.reshape(rb, -1)).reshape(r * dd, -1)],
-            axis=1)
-        k = min(target_ranks[l], r * dd, span[l])
-        if k == r * dd:  # every direction kept: the identity basis serves
-            cores.append(np.eye(k).reshape(r, dd, k))
-            carry = y
-            continue
+    for l in range(n - 1):
+        r = ca.shape[0]
+        ya = (ca @ a.cores[l].reshape(ca.shape[1], -1)).reshape(r * dd, -1)
+        yb = (cb @ b.cores[l].reshape(cb.shape[1], -1)).reshape(r * dd, -1)
         # M's eigenvectors do not depend on Y's scale, but M squares it,
         # so M is formed from Y / scale, which overflows no sooner than
         # tt_round's QR of Y would
-        s = y / (np.abs(y).max() or 1.0)
-        sa, sb = s[:, :ca.shape[2]], s[:, ca.shape[2]:]
-        g_ab = g_a[l][:, ca.shape[2]:]
-        m = ((sa @ g_a[l]) @ s.conj().T
-             + sb @ (g_ab.conj().T @ sa.conj().T + grams[l] @ sb.conj().T))
-        u = np.linalg.eigh(m)[1]
-        u = u[:, :-1 - k:-1]  # eigh sorts ascending: the top k, largest first
+        scale = max(np.abs(ya).max(), np.abs(yb).max()) or 1.0
+        sa, sb = ya / scale, yb / scale
+        ga = sa @ g_aa[l] + sb @ g_ab[l].conj().T  # (Y G)'s a columns
+        gb = sa @ g_ab[l] + sb @ grams[l]          # and its b columns
+        u = np.linalg.eigh(ga @ sa.conj().T + gb @ sb.conj().T)[1]
+        # eigh sorts ascending: keep the top k, the largest first
+        u = u[:, :-1 - min(target_ranks[l], r * dd, span[l]):-1]
         cores.append(u.reshape(r, dd, -1))
-        carry = u.conj().T @ y
-    ra = a.cores[-1].shape[0]
-    last = (carry[:, :ra] @ a.cores[-1].reshape(ra, dd)
-            + carry[:, ra:] @ b.cores[-1].reshape(-1, dd))
+        uh = u.conj().T
+        ca, cb = uh @ ya, uh @ yb
+    last = (ca @ a.cores[-1].reshape(ca.shape[1], dd)
+            + cb @ b.cores[-1].reshape(cb.shape[1], dd))
     if np.linalg.norm(last) <= ZERO_NORM_TOL:
         return tt_zeros(n, d)
     cores.append(last.reshape(-1, dd, 1))

@@ -365,8 +365,8 @@ def _dense_core_grams(trie, local):
     ("pauli6-sic-n7", 1e-10), ("qutrit-n3", 1e-10),
     # E has rank 2 here and the fit rank 4, so the kept directions carry
     # tiny singular values, which eigenvectors of Y G Y^T resolve only to
-    # eps sigma_1^2 / sigma_4: both Gram paths sit 6e-11 to 2e-10 from
-    # the QR roundings (which agree to 3e-15) and from each other
+    # eps sigma_1^2 / sigma_4: Grams that agree to 1e-16 give iterates
+    # 1e-10 apart, each within 7e-11 of the QR path (the 1e-10 test below)
     ("long-prefix", 1e-9),
 ])
 def test_pgd_iterates_match_dense_core_grams(case, tol, monkeypatch):
@@ -382,16 +382,30 @@ def test_pgd_iterates_match_dense_core_grams(case, tol, monkeypatch):
         assert tt_norm(tt_sub(g, w)) <= tol * tt_norm(w), f"iterate {k}"
 
 
+@pytest.mark.parametrize("case", [
+    "sic-n1", "sic-n2", "one-outcome", "long-prefix", "pauli6-sic-n7"])
+def test_pgd_iterates_on_edge_records_match_qr_path(case, monkeypatch):
+    # against E's QR sweep and the frozen _qr_round_sum, at the 1e-10 of
+    # the other parity tests; long-prefix is the ill-conditioned one
+    povm, rec = GRAM_CASES[case]()
+    config = EstimatorConfig(ranks=4, init="spectral", max_iters=4,
+                             plateau_window=5,
+                             **STEP_PRESETS["pgd-spectral-rank4"])
+    got, _ = _run_iterates(pgd, rec, povm, config, monkeypatch)
+    _assert_iterates_match(got, _complex_pgd_iterates(rec, povm, config),
+                           case)
+
+
 def test_no_gram_product_over_e_on_pgd_and_spectral_paths(monkeypatch):
     # E's Grams come from the trie: the only Gram walk left is
     # tt_round_sum's, over the rank-<=2r iterate (and against E)
     assert not hasattr(tt, "tt_right_grams")
     walk = tt._right_grams
 
-    def guarded(a, *others):
+    def guarded(a, b):
         if max(a.ranks) > 8:
             raise AssertionError(f"Gram walk over a TT of ranks {a.ranks}")
-        return walk(a, *others)
+        return walk(a, b)
 
     monkeypatch.setattr(tt, "_right_grams", guarded)
     povm, rec = _povm_and_record("sic", 8)
