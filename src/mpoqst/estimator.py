@@ -26,9 +26,9 @@ right parts are read off the same outcome prefix tree once per run
 dense cores), and each step rounds rho - mu Phi(rho) + mu E from them
 with ``tt_round_sum``, one eigenproblem of size r d^2 per bond at O(n
 d^2 r R^2) per step instead of the O(n d^2 R^3) of rounding the whole
-sum.  PGD's spectral initialization and loss cross term <E, rho> read
-the same E.  PSGD and the public ``loss`` build none: they take the
-cross term from the amplitudes of the record's observed outcomes.
+sum.  Only PGD's spectral start also reads E.  The loss of PGD, PSGD and
+``loss`` reads none: its cross term <E, rho> sums the amplitudes of the
+record's outcomes, one walk of the same prefix tree (_trie_amplitudes).
 
 One loop (``_descend``) runs PGD on MPOs, PGD on dense matrices (the
 reference backend for small n) and PSGD.  It owns the step schedule,
@@ -41,16 +41,19 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .povm import (
     ProductPOVM,
     _outcome_indices,
+    _outcome_trie,
+    _Trie,
+    _trie_amplitudes,
     dense_from_product,
     measure_map_dense,
-    outcome_amplitudes,
     sum_channel,
 )
 from .sampling import _stream
@@ -218,61 +221,6 @@ class Estimate:
 # sparse outcome sums as exact MPOs
 
 
-@dataclass(frozen=True)
-class _Trie:
-    """The prefix tree of a weighted outcome list, as group ids over its
-    lexicographically sorted (U, n) rows of 0-based indices.
-
-    ``bridge`` is the 1-based site whose core carries the weights.
-    prefix[l] holds each row's id of its length-l prefix (l < bridge) and
-    first[l] the first row of each distinct prefix, in id order.
-    suffix[c] holds each row's id of its suffix from column c
-    (c >= bridge) and rep[c] one row of each distinct suffix, in id
-    order."""
-
-    rows: np.ndarray
-    weights: np.ndarray
-    bridge: int
-    prefix: list
-    first: list
-    suffix: dict
-    rep: dict
-
-
-def _outcome_trie(outcomes, weights, povm: ProductPOVM) -> _Trie:
-    """The one id pass over the sorted outcomes that both _trie_cores and
-    _trie_grams read.  A prefix id is the number of prefix changes down
-    the sorted rows, so the ids of each length are sorted; the suffix ids
-    are ranked from the right, each column sorted together with the ids
-    of the suffix after it."""
-    n = povm.n
-    rows = _outcome_indices(povm, outcomes)
-    if not len(rows):
-        raise ValueError("need at least one outcome")
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    u = len(rows)
-    bridge = (n + 1) // 2
-    prefix, first = [np.zeros(u, dtype=np.intp)], [np.zeros(1, np.intp)]
-    changed = np.zeros(u, dtype=bool)
-    for l in range(1, bridge):
-        changed[1:] |= rows[1:, l - 1] != rows[:-1, l - 1]
-        prefix.append(np.cumsum(changed))
-        first.append(np.flatnonzero(np.diff(prefix[-1], prepend=-1)))
-    suffix = {n: np.zeros(u, dtype=np.intp)}
-    rep = {n: np.zeros(1, dtype=np.intp)}
-    for c in range(n - 1, bridge - 1, -1):
-        by = np.lexsort((suffix[c + 1], rows[:, c]))
-        new = np.ones(u, dtype=bool)
-        new[1:] = ((rows[by[1:], c] != rows[by[:-1], c])
-                   | (suffix[c + 1][by[1:]] != suffix[c + 1][by[:-1]]))
-        suffix[c] = np.empty(u, dtype=np.intp)
-        suffix[c][by] = np.cumsum(new) - 1
-        rep[c] = by[new]
-    return _Trie(rows, np.asarray(weights)[order], bridge, prefix, first,
-                 suffix, rep)
-
-
 def _trie_cores(trie: _Trie, local: list) -> list:
     """Cores of the exact MPO sum_k w_k v_{i_1(k)} x ... x v_{i_n(k)} of
     the trie's outcomes and weights, where local[l] holds site l's vectors
@@ -285,9 +233,11 @@ def _trie_cores(trie: _Trie, local: list) -> list:
     one parent row and one coordinate per column, a suffix core one
     coordinate and one child column per row; both are filled by scatter
     from the trie's ids, the bridge core by accumulation in sorted
-    outcome order.
+    outcome order.  ValueError for a trie with no rows.
     """
     rows, bridge = trie.rows, trie.bridge
+    if not len(rows):
+        raise ValueError("need at least one outcome")
     prefix, first, suffix, rep = trie.prefix, trie.first, trie.suffix, trie.rep
     dd = local[0].shape[1]
     dtype = local[0].dtype
@@ -365,28 +315,22 @@ def _trie_grams(trie: _Trie, local: list) -> list:
     return grams[::-1]
 
 
-def outcome_sum_tt(outcomes, weights, povm: ProductPOVM,
-                   local=None) -> TTTensor:
+def outcome_sum_tt(outcomes, weights, povm: ProductPOVM) -> TTTensor:
     """Exact MPO for sum_k w_k B_{i_1(k)} x ... x B_{i_n(k)}, built on the
-    outcome prefix tree (see _trie_cores).  ``local[l]`` holds site l's
-    element rows in the basis of the result's physical legs, by default
-    the fused() rows.  Bonds may pass the structural caps when
-    k_loc > d^2; tt_round cuts them."""
-    if local is None:
-        local = povm.fused()
+    outcome prefix tree (see _trie_cores) from the fused() rows.  Bonds
+    may pass the structural caps when k_loc > d^2; tt_round cuts them."""
     trie = _outcome_trie(outcomes, weights, povm)
-    return TTTensor(tuple(_trie_cores(trie, local)), d=povm.d)
+    return TTTensor(tuple(_trie_cores(trie, povm.fused())), d=povm.d)
 
 
-def _empirical_coordinates(record, povm: ProductPOVM) -> tuple:
-    """(E, grams): E = sum_k p_hat_k A_k as the raw prefix-tree TT in the
-    coordinates of tt.hermitian_basis, real as p_hat is real and every A_k
-    Hermitian, and its right Gram matrices from _trie_grams, both from one
-    pass over the record's outcomes.  E is not orthogonalized:
-    tt_round_sum reads it through the Grams, also where a bond passes its
-    cap (k_loc > d^2)."""
+def _empirical_coordinates(trie: _Trie, povm: ProductPOVM) -> tuple:
+    """(E, grams): E = sum_k p_hat_k A_k over the record's prefix tree
+    (weights p_hat) as the raw prefix-tree TT in the coordinates of
+    tt.hermitian_basis, real as p_hat is real and every A_k Hermitian,
+    and its right Gram matrices from _trie_grams.  E is not
+    orthogonalized: tt_round_sum reads it through the Grams, also where a
+    bond passes its cap (k_loc > d^2)."""
     local = povm.hermitian_coordinates()
-    trie = _outcome_trie(record.outcomes, record.p_hat, povm)
     emp = TTTensor(tuple(_trie_cores(trie, local)), d=povm.d)
     return emp, _trie_grams(trie, local)
 
@@ -397,8 +341,8 @@ def empirical_operator(record, povm: ProductPOVM) -> TTTensor:
     (a right-to-left QR sweep, after a left-to-right one cuts any bond
     over its structural cap).  ValueError when a POVM element is not
     Hermitian."""
-    cores = list(outcome_sum_tt(record.outcomes, record.p_hat, povm,
-                                povm.hermitian_coordinates()).cores)
+    cores = _trie_cores(_outcome_trie(record.outcomes, record.p_hat, povm),
+                        povm.hermitian_coordinates())
     dd = povm.d * povm.d
     if any(c.shape[2] > cap
            for c, cap in zip(cores, max_tt_ranks(povm.n, povm.d))):
@@ -411,28 +355,25 @@ def empirical_operator(record, povm: ProductPOVM) -> TTTensor:
 # loss
 
 
-def _loss_from_parts(state, channel, cross: float, weight_sq: float) -> float:
-    """The loss from its three terms: <rho, Phi(rho)>, the cross term
-    <E, rho> and sum p_hat^2."""
-    quad = tt_inner(state, channel).real
-    return max(quad - 2.0 * cross + weight_sq, 0.0)
+def _loss(rho, trie: _Trie, povm: ProductPOVM, local: list) -> tuple:
+    """(g(rho), Phi(rho)) for the record's prefix tree (weights p_hat):
+    g = <rho, Phi(rho)> - 2 <E, rho> + sum p_hat^2, the cross term
+    sum_k p_hat_k <A_k, rho> from _trie_amplitudes (``local`` as there),
+    so no E is read, and Phi(rho) = sum_channel(povm, rho, local)."""
+    channel = sum_channel(povm, rho, local)
+    w = trie.weights
+    cross = (w @ _trie_amplitudes(trie, rho, local)).real
+    quad = tt_inner(rho, channel).real
+    return float(max(quad - 2.0 * cross + w @ w, 0.0)), channel
 
 
 def loss(state: TTTensor, record, povm: ProductPOVM) -> float:
     """|| A(rho) - p_hat ||_2^2 without enumerating zero-count outcomes:
     <rho, Phi(rho)> - 2 <E, rho> + sum p_hat^2 with Phi the measurement
-    channel.  The cross term <E, rho> = sum_k p_hat_k <A_k, rho> is read
-    off the amplitudes of the record's outcomes, as in PSGD's loss, so no
-    E is built."""
-    amps = outcome_amplitudes(povm, state, record.outcomes)
-    return _loss_from_parts(state, sum_channel(povm, state),
-                            float((record.p_hat @ amps).real),
-                            _weight_sq(record))
-
-
-def _weight_sq(record) -> float:
-    """sum_k p_hat_k^2 over the record."""
-    return float(record.p_hat @ record.p_hat)
+    channel, the cross term from the amplitudes of the record's outcomes
+    (see _loss).  An empty record gives <rho, Phi(rho)>."""
+    trie = _outcome_trie(record.outcomes, record.p_hat, povm)
+    return _loss(state, trie, povm, povm.fused())[0]
 
 
 def _dense_weights(record, povm: ProductPOVM) -> np.ndarray:
@@ -509,14 +450,15 @@ def spectral_init(record, povm: ProductPOVM, ranks) -> TTTensor:
     """Project the rescaled adjoint map K (d^n + 1) / d^n sum p_hat_k A_k
     of the empirical probabilities onto the constraint set."""
     config = EstimatorConfig(init="spectral")
+    trie = _outcome_trie(record.outcomes, record.p_hat, povm)
     return tt_from_hermitian_coordinates(
-        _initial_state(record, povm, config, ranks))
+        _initial_state(trie, povm, config, ranks))
 
 
 def _random_mpdo(ranks, n: int, d: int, seed: int) -> TTTensor:
     """The random PSD MPO with Kraus bond ceil(sqrt(rbar)) that the
     random start projects."""
-    kappa = kappa_for_rank(int(np.max(np.atleast_1d(ranks))))
+    kappa = kappa_for_rank(int(max(np.atleast_1d(ranks), default=1)))
     return random_mpdo(MPDOGenConfig(n=n, kappa=kappa, purity=10,
                                      seed=seed, d=d))
 
@@ -527,17 +469,15 @@ def random_init(ranks, n: int, d: int, seed: int) -> TTTensor:
     return project_mpo(_random_mpdo(ranks, n, d, seed), ranks)
 
 
-def _initial_state(record, povm, config: EstimatorConfig, ranks,
+def _initial_state(trie: _Trie, povm, config: EstimatorConfig, ranks,
                    empirical: TTTensor = None, grams: list = None) -> TTTensor:
     """The start in coordinates.  The spectral start rounds the scaled E
     through E's trie Grams; ``empirical`` and ``grams``, if given, are
-    the record's _empirical_coordinates, else they are built here (the
-    dense backend and PSGD)."""
+    the _empirical_coordinates of the record's prefix tree ``trie``, else
+    they are built here (the dense backend and PSGD)."""
     if config.init == "spectral":
-        if not record.weights():
-            raise ValueError("record is empty")
         if empirical is None:
-            empirical, grams = _empirical_coordinates(record, povm)
+            empirical, grams = _empirical_coordinates(trie, povm)
         n, d = povm.n, povm.d
         scale = povm.k_total * (d ** n + 1) / d ** n
         return _project(tt_zeros(n, d), ranks,
@@ -632,23 +572,25 @@ def _descend(record, povm: ProductPOVM, config: EstimatorConfig, truth,
              algorithm: str, prepare) -> Estimate:
     """The one descent loop, shared by PGD on either backend and PSGD.
 
-    ``prepare(record, povm, config, ranks)`` returns (state, loss_of,
-    step, extra): the start, the loss of an iterate, a generator
-    ``step(state, k, mu)`` of the iterates of outer step k (one for PGD,
-    one per batch for PSGD's epoch k) and extra metadata.  The loop owns
-    the step schedule mu0 * 2^n * lam^k, checks every iterate when
-    check_iterates is set, logs a row per outer step and stops on the
-    budget (max_iters, for PSGD max_epochs) or a loss plateau.  A failed
-    decomposition or a non-finite loss raises NumericalError naming the
-    outer step (iteration or epoch) and its step size.
+    ``prepare(record, trie, povm, config, ranks)``, ``trie`` the record's
+    prefix tree, returns (state, loss_of, step, extra): the start, a map
+    of an iterate to (its loss, aux), a generator ``step(state, k, mu,
+    aux)`` of the iterates of outer step k (one for PGD, one per batch
+    for PSGD's epoch k) and extra metadata.  The loop owns the step
+    schedule mu0 * 2^n * lam^k, checks every iterate when check_iterates
+    is set, logs a row per outer step and stops on the budget (max_iters,
+    for PSGD max_epochs) or a loss plateau.  A failed decomposition or a
+    non-finite loss raises NumericalError naming the outer step
+    (iteration or epoch) and its step size; an empty record, ValueError.
 
     Iterates are coordinate TTs, and the checks read them as they are;
     the rows' error and the returned state see their fused map-back.
 
-    The loss of each outer step's last iterate is taken before the next
-    step starts, so a step may reuse what loss_of computed for its start
-    (PGD's channel term, the dense path's probabilities).
+    ``aux`` is what loss_of computed on the way for the step's start: the
+    TT paths' channel term, the dense path's matrix and probabilities.
     """
+    if not len(record.p_hat):
+        raise ValueError("record is empty: no outcomes to fit")
     n = povm.n
     ranks = config.rank_vector(n, povm.d)
     if algorithm == "psgd":
@@ -656,20 +598,21 @@ def _descend(record, povm: ProductPOVM, config: EstimatorConfig, truth,
     else:
         unit, limit, reason = "iteration", config.max_iters, "max_iters"
     t0 = time.perf_counter()
-    state, loss_of, step, extra = prepare(record, povm, config, ranks)
+    trie = _outcome_trie(record.outcomes, record.p_hat, povm)
+    state, loss_of, step, extra = prepare(record, trie, povm, config, ranks)
     log = []
-    cur_loss = loss_of(state)
+    cur_loss, aux = loss_of(state)
     _log_row(log, 0, cur_loss, state, truth, float("nan"), t0)
     losses = [cur_loss]
     iterations = 0
     for k in range(limit):
         mu = _step_size(config, n, k)
         try:
-            for state in step(state, k, mu):
+            for state in step(state, k, mu, aux):
                 iterations += 1
                 if config.check_iterates:
                     _check_iterate(state)
-            cur_loss = loss_of(state)
+            cur_loss, aux = loss_of(state)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"decomposition failed at {unit} {k + 1} "
@@ -705,49 +648,41 @@ def pgd(record, povm: ProductPOVM, config: EstimatorConfig,
     return _descend(record, povm, config, truth, "pgd", prepare)
 
 
-def _tt_pgd(record, povm, config, ranks):
+def _tt_pgd(record, trie, povm, config, ranks):
     """PGD on MPOs: E and its right Gram matrices once, from the
     record's prefix tree, then each step rounds rho - mu Phi(rho) + mu E
     through them.  The loss and the next step share one sum_channel per
     iterate."""
-    emp, grams = _empirical_coordinates(record, povm)
-    local = povm.hermitian_coordinates()
-    state = _initial_state(record, povm, config, ranks, emp, grams)
-    weight_sq = _weight_sq(record)
-    channel = None
+    emp, grams = _empirical_coordinates(trie, povm)
+    state = _initial_state(trie, povm, config, ranks, emp, grams)
 
-    def loss_of(rho):
-        nonlocal channel
-        channel = sum_channel(povm, rho, local)
-        return _loss_from_parts(rho, channel, tt_inner(rho, emp).real,
-                                weight_sq)
-
-    def step(rho, k, mu):
+    def step(rho, k, mu, channel):
         yield _project(tt_add(rho, tt_scale(channel, -mu)), ranks,
                        config.tt_round_tol, data=tt_scale(emp, mu),
                        grams=grams)
 
+    loss_of = partial(_loss, trie=trie, povm=povm,
+                      local=povm.hermitian_coordinates())
     return state, loss_of, step, {}
 
 
-def _dense_pgd(record, povm, config, ranks):
+def _dense_pgd(record, trie, povm, config, ranks):
     """Dense-matrix reference path: materialized POVM elements, explicit
     gradient, identical projection.  Cross-check backend for small n."""
     n, d = povm.n, povm.d
     if povm.k_total * (d ** n) ** 2 > 2_000_000:
         raise ValueError("dense backend limited to small systems")
-    state = _initial_state(record, povm, config, ranks)
+    state = _initial_state(trie, povm, config, ranks)
     elements = np.stack([a for a in dense_from_product(povm).elements])
     p_hat = _dense_weights(record, povm)
-    dense = probs = None
 
     def loss_of(rho):
-        nonlocal dense, probs
         dense = tt_to_dense(tt_from_hermitian_coordinates(rho)).matrix
         probs = np.einsum("kij,ij->k", elements.conj(), dense).real
-        return float(((probs - p_hat) ** 2).sum())
+        return float(((probs - p_hat) ** 2).sum()), (dense, probs)
 
-    def step(rho, k, mu):
+    def step(rho, k, mu, aux):
+        dense, probs = aux
         grad = np.einsum("k,kij->ij", probs - p_hat, elements)
         raw = tt_from_dense(DenseOperator(dense - mu * grad, n=n, d=d),
                             target_ranks=ranks)
@@ -801,8 +736,8 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
     containing every nonzero-count outcome plus seeded zero-count filler,
     then runs floor(N/B) iterations on sequential batches of B, each using
     the partial gradient sum_{k in batch} (<A_k, rho> - p_hat_k) A_k; the
-    batch's amplitudes come from one batched contraction
-    (outcome_amplitudes).
+    batch's amplitudes and gradient cores read one prefix tree of the
+    batch.
 
     The nonzero outcomes are deliberately oversampled relative to a
     uniform pass over all K outcomes, and the batch gradient is used
@@ -816,9 +751,10 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
     return _descend(record, povm, config, truth, "psgd", _psgd)
 
 
-def _psgd(record, povm, config, ranks):
-    """PSGD's epoch sizing, its loss (the cross term from the record's
-    amplitudes) and its epochs of batch steps."""
+def _psgd(record, trie, povm, config, ranks):
+    """PSGD's epoch sizing, its loss (the TT paths' _loss) and its epochs
+    of batch steps.  Each batch's prefix tree gives both its amplitudes
+    and its gradient's cores."""
     n, d = povm.n, povm.d
     observed, p_obs = record.outcomes, record.p_hat
     n_obs = len(p_obs)
@@ -833,16 +769,9 @@ def _psgd(record, povm, config, ranks):
                       povm.k_total)
     batch = min(config.batch_size, n_epoch)
     local = povm.hermitian_coordinates()
-    state = _initial_state(record, povm, config, ranks)
-    weight_sq = _weight_sq(record)
+    state = _initial_state(trie, povm, config, ranks)
 
-    def loss_of(rho):
-        # cross term <E, rho> = sum_k p_hat_k <A_k, rho> over the record
-        cross = float(p_obs @ outcome_amplitudes(povm, rho, observed, local))
-        return _loss_from_parts(rho, sum_channel(povm, rho, local), cross,
-                                weight_sq)
-
-    def step(rho, epoch, mu):
+    def step(rho, epoch, mu, _channel):
         rng = _stream(config.init_seed, 0xE0C + epoch)
         filler = _zero_outcome_filler(povm, observed, n_epoch - n_obs, rng)
         subset = np.concatenate([observed, filler])
@@ -852,12 +781,14 @@ def _psgd(record, povm, config, ranks):
             pick = order[it * batch:(it + 1) * batch]
             if not len(pick):
                 return
-            chosen = subset[pick]
-            coeffs = (outcome_amplitudes(povm, rho, chosen, local)
-                      - subset_p[pick])
-            grad = outcome_sum_tt(chosen, coeffs, povm, local)
+            part = _outcome_trie(subset[pick], subset_p[pick], povm)
+            # weights <A_k, rho> - p_hat_k, in the tree's row order
+            part = replace(part, weights=_trie_amplitudes(part, rho, local)
+                           - part.weights)
+            grad = TTTensor(tuple(_trie_cores(part, local)), d=d)
             rho = _project(tt_add(rho, tt_scale(grad, -mu)), ranks,
                            config.tt_round_tol)
             yield rho
 
+    loss_of = partial(_loss, trie=trie, povm=povm, local=local)
     return state, loss_of, step, {"epoch_size": n_epoch, "batch_size": batch}

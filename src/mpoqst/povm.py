@@ -511,17 +511,14 @@ def measure_map_dense(povm, state: DenseOperator) -> np.ndarray:
     return _real_with_residue_check(acc.reshape(-1))
 
 
-def _site_transfers(povm: ProductPOVM, state: TTTensor, local=None) -> list:
+def _site_transfers(povm: ProductPOVM, state: TTTensor) -> list:
     """Per site, the stack of outcome transfer matrices
-    E_i = sum_s conj(b_i(s)) core[:, s, :], shape (k_loc, r_l-1, r_l).
-    ``local[l]`` holds site l's element rows b_i in the basis of the
-    state's physical legs, by default the fused() rows.  ValueError when
-    the POVM and the state differ in n or d."""
+    E_i = sum_s conj(b_i(s)) core[:, s, :], shape (k_loc, r_l-1, r_l),
+    for the fused() element rows b_i.  ValueError when the POVM and the
+    state differ in n or d."""
     _check_shapes(povm, state)
-    if local is None:
-        local = povm.fused()
     return [np.tensordot(rows.conj(), core, axes=[[1], [1]])
-            for rows, core in zip(local, state.cores)]
+            for rows, core in zip(povm.fused(), state.cores)]
 
 
 def _right_environments(transfers: list) -> list:
@@ -569,17 +566,103 @@ def _outcome_indices(povm: ProductPOVM, outcomes) -> np.ndarray:
     return rows.astype(np.intp) - 1
 
 
-def outcome_amplitudes(povm: ProductPOVM, state: TTTensor, outcomes,
-                       local=None) -> np.ndarray:
+@dataclass(frozen=True)
+class _Trie:
+    """The prefix tree of an outcome list, as group ids over its
+    lexicographically sorted (U, n) rows of 0-based indices: rows and
+    weights (None if not given) are the input's taken in ``order``.
+    ``bridge`` is the 1-based site where prefixes meet suffixes.
+    prefix[l] holds each row's id of its length-l prefix (l < bridge) and
+    first[l] the first row of each distinct prefix, in id order.
+    suffix[c] holds each row's id of its suffix from column c
+    (c >= bridge) and rep[c] one row of each distinct suffix, in id
+    order."""
+
+    rows: np.ndarray
+    order: np.ndarray
+    weights: np.ndarray
+    bridge: int
+    prefix: list
+    first: list
+    suffix: dict
+    rep: dict
+
+
+def _outcome_trie(outcomes, weights, povm: ProductPOVM) -> _Trie:
+    """The one id pass over the sorted outcomes that _trie_amplitudes and
+    the estimator's prefix-tree MPOs read.  A prefix id is the number of
+    prefix changes down the sorted rows, so the ids of each length are
+    sorted; the suffix ids are ranked from the right, each column sorted
+    together with the ids of the suffix after it."""
+    n = povm.n
+    rows = _outcome_indices(povm, outcomes)
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    u = len(rows)
+    bridge = (n + 1) // 2
+    prefix, first = [np.zeros(u, dtype=np.intp)], [np.zeros(1, np.intp)]
+    changed = np.zeros(u, dtype=bool)
+    for l in range(1, bridge):
+        changed[1:] |= rows[1:, l - 1] != rows[:-1, l - 1]
+        prefix.append(np.cumsum(changed))
+        first.append(np.flatnonzero(np.diff(prefix[-1], prepend=-1)))
+    suffix = {n: np.zeros(u, dtype=np.intp)}
+    rep = {n: np.zeros(1, dtype=np.intp)}
+    for c in range(n - 1, bridge - 1, -1):
+        by = np.lexsort((suffix[c + 1], rows[:, c]))
+        new = np.ones(u, dtype=bool)
+        new[1:] = ((rows[by[1:], c] != rows[by[:-1], c])
+                   | (suffix[c + 1][by[1:]] != suffix[c + 1][by[:-1]]))
+        suffix[c] = np.empty(u, dtype=np.intp)
+        suffix[c][by] = np.cumsum(new) - 1
+        rep[c] = by[new]
+    weights = None if weights is None else np.asarray(weights)[order]
+    return _Trie(rows, order, weights, bridge, prefix, first, suffix, rep)
+
+
+def _trie_amplitudes(trie: _Trie, state: TTTensor, local: list) -> np.ndarray:
+    """Raw <A_k, state> for every row k of the trie, in its order, where
+    local[l] holds site l's element rows b_i in the basis of the state's
+    legs (fused() rows, or hermitian_coordinates() for a coordinate TT).
+
+    One left vector per distinct prefix, its parent's times one transfer
+    matrix E_i = sum_s conj(b_i(s)) core[:, s, :], and one right vector
+    per distinct suffix, E_i times its child's, meet at the bridge site
+    in one dot product per row.  Each level extends all its vectors by
+    all k_loc transfers in one matrix product and keeps the observed
+    ones: O(k d^2 r^2) per site and O(k r^2) per distinct prefix or
+    suffix, O(r) per row."""
+    rows, bridge = trie.rows, trie.bridge
+    left = np.ones((1, 1))  # one row per distinct prefix
+    for l in range(1, bridge + 1):
+        v, core = local[l - 1], state.cores[l - 1]
+        # row p * k + i: prefix p extended by outcome i
+        ext = (left @ (v.conj() @ core).reshape(len(core), -1)).reshape(
+            -1, core.shape[2])
+        take = trie.first[l] if l < bridge else slice(None)
+        left = np.take(ext, trie.prefix[l - 1][take] * len(v)
+                       + rows[take, l - 1], axis=0)
+    right = np.ones((1, 1))  # one row per distinct suffix
+    for c in range(state.n - 1, bridge - 1, -1):
+        v, core, take = local[c], state.cores[c], trie.rep[c]
+        # row s * k + i: suffix s extended by outcome i
+        ext = (right @ (v.conj() @ core).transpose(2, 1, 0).reshape(
+            core.shape[2], -1)).reshape(-1, len(core))
+        right = np.take(ext, trie.suffix[c + 1][take] * len(v)
+                        + rows[take, c], axis=0)
+    return np.einsum("ur,ur->u", left,
+                     np.take(right, trie.suffix[bridge], axis=0))
+
+
+def outcome_amplitudes(povm: ProductPOVM, state: TTTensor,
+                       outcomes) -> np.ndarray:
     """Raw <A_k, state> for a (B, n) batch of 1-based outcomes, as a (B,)
     vector (no clamping; may be negative or complex-residued for
-    non-Hermitian iterates).  One left-to-right contraction through the
-    _site_transfers stacks (``local`` as there), O(B n d^2 r^2)."""
-    idx = _outcome_indices(povm, outcomes)
-    v = np.ones((len(idx), 1))
-    for l, trans in enumerate(_site_transfers(povm, state, local)):
-        v = np.einsum("br,brs->bs", v, trans[idx[:, l]])
-    return v[:, 0]
+    non-Hermitian iterates): _trie_amplitudes over the batch's prefix
+    tree with the fused() rows, put back in batch order."""
+    _check_shapes(povm, state)
+    trie = _outcome_trie(outcomes, None, povm)
+    return _trie_amplitudes(trie, state, povm.fused())[np.argsort(trie.order)]
 
 
 def outcome_amplitude(povm: ProductPOVM, state: TTTensor, outcome) -> complex:

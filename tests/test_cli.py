@@ -182,6 +182,18 @@ def test_estimate_missing_out_directory_exits_before_estimating(
     assert err.startswith("input error:") and "missing" in err
 
 
+@pytest.mark.parametrize("algorithm", ["pgd", "psgd"])
+def test_estimate_random_start_on_one_site(workspace, algorithm):
+    # the default random start failed on the empty rank vector of n = 1
+    state = _generate(workspace, n=1, kappa=1)
+    record = workspace / "rec.json"
+    assert run(["measure", "--state", state, "--shots", 500, "--seed", 3,
+                "--out", record]) == 0
+    assert run(["estimate", "--record", record, "--algorithm", algorithm,
+                "--out", workspace / "fit"]) == 0
+    assert json.loads((workspace / "fit.json").read_text())["state"]
+
+
 def test_estimate_empty_record_is_input_error(workspace, capsys):
     record = workspace / "empty.json"
     record.write_text(json.dumps({"format": "mpoqst-record", "kind": "counts",

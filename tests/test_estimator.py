@@ -11,7 +11,6 @@ from mpoqst.estimator import (
     STEP_PRESETS,
     EstimatorConfig,
     _empirical_coordinates,
-    _outcome_trie,
     _trie_cores,
     _trie_grams,
     _zero_outcome_filler,
@@ -32,6 +31,7 @@ from mpoqst.estimator import (
 from mpoqst.povm import (
     LocalPOVM,
     ProductPOVM,
+    _outcome_trie,
     dense_from_product,
     iter_outcomes,
     outcome_amplitudes,
@@ -335,7 +335,8 @@ def test_trie_grams_match_dense_oracle(case):
     # the Grams of E read off the trie against tt._right_grams(E, E),
     # which multiplies E's dense cores
     povm, rec = case()
-    emp, grams = _empirical_coordinates(rec, povm)
+    emp, grams = _empirical_coordinates(
+        _outcome_trie(rec.outcomes, rec.p_hat, povm), povm)
     _assert_grams_match(grams, _right_grams(emp, emp))
 
 
@@ -417,6 +418,23 @@ def test_no_gram_product_over_e_on_pgd_and_spectral_paths(monkeypatch):
     pgd(rec, povm, dataclasses.replace(config, backend="dense"))
 
 
+def test_no_inner_product_against_e_on_the_pgd_path(monkeypatch):
+    # the loss's cross term comes from the record's prefix tree: the only
+    # tt_inner left is <rho, Phi(rho)>, over rank-r iterates
+    inner = tt.tt_inner
+
+    def guarded(a, b):
+        if max(a.ranks + b.ranks) > 8:
+            raise AssertionError(f"tt_inner against ranks {b.ranks}")
+        return inner(a, b)
+
+    monkeypatch.setattr(estimator, "tt_inner", guarded)
+    povm, rec = _povm_and_record("sic", 8)
+    out = pgd(rec, povm, EstimatorConfig(ranks=4, init="spectral",
+                                         max_iters=2))
+    assert out.iterations_run == 2
+
+
 # ---------------------------------------------------------------------------
 # loss
 
@@ -436,6 +454,27 @@ def test_loss_matches_dense_enumeration():
     tt_val = loss(state, rec, povm)
     dense_val = loss_dense(tt_to_dense(state), rec, povm)
     assert abs(tt_val - dense_val) < 1e-10
+
+
+def test_loss_on_empty_record_is_the_channel_term():
+    povm = ProductPOVM.local_sic(3)
+    rec = sample_sequential(povm, _mpdo(3, seed=5), 0, seed=6)
+    state = _mpdo(3, seed=8)
+    want = loss_dense(tt_to_dense(state), rec, povm)  # ||A(rho)||^2
+    assert abs(loss(state, rec, povm) - want) <= 1e-14 * want
+    quad = tt_inner(state, sum_channel(povm, state))
+    assert abs(quad - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("runner, backend", [
+    (pgd, "tt"), (pgd, "dense"), (psgd, "tt")])
+def test_empty_record_is_rejected_before_descent(runner, backend):
+    # PSGD ended in numpy's concatenate error, PGD in the trie's own check
+    povm = ProductPOVM.local_sic(3)
+    rec = sample_sequential(povm, _mpdo(3, seed=5), 0, seed=6)
+    config = EstimatorConfig(backend=backend, max_iters=1, max_epochs=1)
+    with pytest.raises(ValueError, match="record is empty"):
+        runner(rec, povm, config)
 
 
 def test_loss_nonnegative():
@@ -577,6 +616,17 @@ def test_spectral_init_respects_rank_cap():
     rec = sample_sequential(povm, rho, 2000, seed=29)
     init = spectral_init(rec, povm, (2, 2))
     assert all(r <= c for r, c in zip(init.ranks[1:-1], (2, 2)))
+
+
+def test_random_start_on_one_site():
+    # the empty rank vector of n = 1 reached np.max
+    assert random_init((), 1, 2, 0).n == 1
+    povm = ProductPOVM.local_sic(1)
+    rec = sample_sequential(povm, _mpdo(1, seed=70), 500, seed=71)
+    for runner in (pgd, psgd):
+        out = runner(rec, povm, EstimatorConfig(init="random", max_iters=3,
+                                                max_epochs=1))
+        assert out.state.n == 1 and math.isfinite(out.metadata["final_loss"])
 
 
 def test_random_init_properties():

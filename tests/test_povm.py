@@ -33,8 +33,10 @@ from mpoqst.povm import (
     sum_channel,
     sym_projector,
     wh_sic_from_fiducial,
+    _outcome_trie,
     _right_environments,
     _site_transfers,
+    _trie_amplitudes,
 )
 from mpoqst.states import (
     MPDOGenConfig,
@@ -43,7 +45,13 @@ from mpoqst.states import (
     pure_product,
     random_mpdo,
 )
-from mpoqst.tt import DenseOperator, hermitian_basis, random_tt, tt_to_dense
+from mpoqst.tt import (
+    DenseOperator,
+    hermitian_basis,
+    random_tt,
+    tt_to_dense,
+    tt_to_hermitian_coordinates,
+)
 
 
 def random_hermitian(dim, rng):
@@ -440,6 +448,55 @@ def test_outcome_amplitudes_empty_batch_and_validation():
             outcome_amplitudes(povm, mm, bad)
     with pytest.raises(ValueError):
         outcome_amplitudes(ProductPOVM.local_sic(3), mm, [(1, 1, 1)])
+
+
+def _amplitude_case(kind):
+    """(povm, state, 1-based outcome rows, in no sorted order) of the
+    prefix-tree edge cases."""
+    rng = np.random.default_rng(len(kind))
+    sic = sic_qubit()
+    if kind == "pauli6-sic-n7":  # k_loc 6 on every other site
+        povm = ProductPOVM(sites=tuple(_pauli6() if l % 2 else sic
+                                       for l in range(7)))
+    elif kind == "qutrit-n4":
+        povm = ProductPOVM(sites=(LocalPOVM(wh_sic_from_fiducial(3).elements,
+                                            d=3),) * 4)
+    else:
+        povm = ProductPOVM.local_sic({"sic-n1": 1, "sic-n2": 2,
+                                      "one-outcome": 5, "long-prefix": 6,
+                                      "complex-n5": 5}[kind])
+    n, d = povm.n, povm.d
+    if kind == "complex-n5":
+        state = random_tt(n, d, (3,) * (n - 1), seed=7)
+    else:
+        state = random_mpdo(MPDOGenConfig(n=n, kappa=2, purity=10, seed=n,
+                                          d=d))
+    if kind == "one-outcome":
+        return povm, state, np.array([(2, 3, 1, 4, 1)])
+    if kind == "long-prefix":  # one prefix per bond
+        return povm, state, np.array([(1, 2, 3, 4, i, j)
+                                      for j in (4, 2) for i in (3, 1, 4)])
+    # repeated rows included
+    return povm, state, rng.integers(1, np.array(povm.k_locs) + 1,
+                                     size=(300, n))
+
+
+@pytest.mark.parametrize("kind", [
+    "sic-n1", "sic-n2", "one-outcome", "long-prefix", "pauli6-sic-n7",
+    "qutrit-n4", "complex-n5"])
+def test_trie_amplitudes_match_the_per_outcome_loop(kind):
+    povm, state, outcomes = _amplitude_case(kind)
+    loop = np.array([_amplitude_loop(povm, state, o) for o in outcomes])
+    scale = np.abs(loop).max()
+    amps = outcome_amplitudes(povm, state, outcomes)
+    assert np.abs(amps - loop).max() <= 1e-14 * scale
+    if kind != "complex-n5":
+        # the estimator's form: real coordinates, rows in the tree's order
+        trie = _outcome_trie(outcomes, None, povm)
+        coords = _trie_amplitudes(trie, tt_to_hermitian_coordinates(state),
+                                  povm.hermitian_coordinates())
+        assert coords.dtype == np.float64
+        assert np.abs(coords - loop[trie.order]).max() <= 1e-14 * scale
 
 
 def test_fused_is_built_once_and_read_only():
