@@ -120,8 +120,8 @@ class EstimatorConfig:
     either is clipped to the structural caps.  Ranks, iteration counts,
     sizes and the seed must be integers (the seed in [0, 2**63), as
     every seed of the package), mu0, lam and the tolerances
-    numbers (mu0 positive and finite) and the switches booleans
-    (ValueError otherwise).
+    numbers (mu0 positive and finite, the tolerances finite and >= 0)
+    and the switches booleans (ValueError otherwise).
     """
 
     ranks: object = 1
@@ -167,6 +167,9 @@ class EstimatorConfig:
                                  f"{getattr(self, name)!r}")
         if not 0 < self.mu0 < float("inf"):
             raise ValueError("mu0 must be positive and finite")
+        for name in ("plateau_rel_tol", "tt_round_tol"):  # None is 0 here
+            if not 0 <= (getattr(self, name) or 0) < float("inf"):
+                raise ValueError(f"{name} must be finite and >= 0")
         ranks = (self.ranks if isinstance(self.ranks, (list, tuple))
                  else [self.ranks])
         if not all(_is_number(r, numbers.Integral) and r >= 1
@@ -761,9 +764,9 @@ def _psgd(record, trie, povm, config, ranks):
     max_rank = max(ranks) if ranks else 1
     if config.epoch_size is not None:
         n_epoch = config.epoch_size
-        if n_epoch < n_obs:
-            raise ValueError(
-                f"epoch_size {n_epoch} below nonzero outcome count {n_obs}")
+        if not n_obs <= n_epoch <= povm.k_total:
+            raise ValueError(f"epoch_size {n_epoch} not between the nonzero "
+                             f"outcome count {n_obs} and K={povm.k_total}")
     else:
         n_epoch = min(max(10 * d * d * n * max_rank ** 2, n_obs),
                       povm.k_total)
@@ -777,10 +780,8 @@ def _psgd(record, trie, povm, config, ranks):
         subset = np.concatenate([observed, filler])
         subset_p = np.concatenate([p_obs, np.zeros(len(filler))])
         order = rng.permutation(len(subset))
-        for it in range(max(len(subset) // batch, 1)):
+        for it in range(len(subset) // batch):
             pick = order[it * batch:(it + 1) * batch]
-            if not len(pick):
-                return
             part = _outcome_trie(subset[pick], subset_p[pick], povm)
             # weights <A_k, rho> - p_hat_k, in the tree's row order
             part = replace(part, weights=_trie_amplitudes(part, rho, local)

@@ -545,20 +545,23 @@ def probability_tensor(povm: ProductPOVM, state: TTTensor) -> np.ndarray:
     return _real_with_residue_check(acc.reshape(k_shape))
 
 
-def _outcome_indices(povm: ProductPOVM, outcomes) -> np.ndarray:
-    """(B, n) array of 0-based site indices for a batch of 1-based
-    outcomes (a (B, n) matrix or a list of B tuples); ValueError on a
-    wrong length or an index outside 1..k_loc."""
+def _outcome_indices(povm: ProductPOVM, outcomes, length=None) -> np.ndarray:
+    """(B, length) 0-based site indices of B 1-based outcomes of the first
+    ``length`` sites (default n), as a matrix or a list of tuples;
+    ValueError on a wrong length, a non-integer index or one out of range."""
+    length = povm.n if length is None else length
     try:
         rows = np.asarray(outcomes)
     except ValueError:  # numpy's message for ragged outcomes
         raise ValueError("outcomes must have equal lengths") from None
     if rows.shape[:1] == (0,):
-        rows = rows.reshape(0, povm.n)
-    if rows.ndim != 2 or rows.shape[1] != povm.n:
-        length = rows.shape[-1] if rows.ndim else 0
-        raise ValueError(f"outcome length {length} != n={povm.n}")
-    bad = (rows < 1) | (rows > np.array(povm.k_locs))
+        rows = rows.reshape(0, length)
+    if rows.ndim != 2 or rows.shape[1] != length:
+        got = rows.shape[-1] if rows.ndim else 0
+        raise ValueError(f"outcome length {got} != n={length}")
+    if rows.size and not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"outcome indices must be integers, got {rows.dtype}")
+    bad = (rows < 1) | (rows > np.array(povm.k_locs[:length]))
     if bad.any():
         b, l = np.argwhere(bad)[0]
         raise ValueError(
@@ -690,14 +693,12 @@ def marginal_prefix_prob(povm: ProductPOVM, state: TTTensor, prefix) -> float:
     ell = len(prefix)
     if ell > povm.n:
         raise ValueError(f"prefix longer than n={povm.n}")
+    idx = _outcome_indices(povm, [prefix], ell)[0]
     transfers = _site_transfers(povm, state)
     envs = _right_environments(transfers)
     v = np.ones(1, dtype=complex)
-    for l in range(ell):
-        i = int(prefix[l])
-        if not 1 <= i <= povm.sites[l].k_loc:
-            raise ValueError(f"prefix index {i} out of range at site {l + 1}")
-        v = v @ transfers[l][i - 1]
+    for l, i in enumerate(idx):
+        v = v @ transfers[l][i]
     val = complex(v @ envs[ell])
     return float(_real_with_residue_check(np.array([val]))[0])
 

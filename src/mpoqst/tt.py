@@ -236,17 +236,12 @@ def tt_from_dense(dense, target_ranks=None, truncation_tol=None,
     With a tolerance, the per-cut discarded singular mass is budgeted so
     the total Frobenius error is at most ``truncation_tol * ||dense||_F``.
     """
-    if (target_ranks is None) == (truncation_tol is None):
-        raise ValueError("supply exactly one of target_ranks, truncation_tol")
-    if isinstance(dense, DenseOperator):
-        matrix, n, d = dense.matrix, dense.n, dense.d
-    else:
-        op = DenseOperator.from_matrix(dense, d=d)
-        matrix, n = op.matrix, op.n
-    if target_ranks is not None:
-        target_ranks = _validate_ranks(target_ranks, n, d)
+    if not isinstance(dense, DenseOperator):
+        dense = DenseOperator.from_matrix(dense, d=d)
+    target_ranks = _rounding_mode(dense, target_ranks, truncation_tol)
+    n, d = dense.n, dense.d
     dd = d * d
-    tensor = fuse_dense_to_tensor(matrix, n, d)
+    tensor = fuse_dense_to_tensor(dense.matrix, n, d)
     return _truncate_left_to_right(tensor.reshape(1, dd, -1),
                                    lambda l, c: c.reshape(len(c), dd, -1),
                                    n, d, target_ranks, truncation_tol)
@@ -283,16 +278,12 @@ def _check_compatible(a: TTTensor, b: TTTensor):
 
 
 def tt_inner(a: TTTensor, b: TTTensor) -> complex:
-    """Hilbert-Schmidt inner product trace(A^dag B) by transfer contraction.
-
-    Costs O(n d^2 r_a r_b (r_a + r_b)); never materializes dense operators.
-    """
+    """Hilbert-Schmidt inner product trace(A^dag B): the first cores
+    contracted through the Gram matrix _right_grams(a, b)[0] of the rest,
+    at cost O(n d^2 r_a r_b (r_a + r_b)) and with no dense operator."""
     _check_compatible(a, b)
-    env = np.ones((1, 1))  # (r_a, r_b)
-    for ca, cb in zip(a.cores, b.cores):
-        tmp = np.tensordot(env, ca.conj(), axes=[[0], [0]])  # (r_b, dd, r_a')
-        env = np.tensordot(tmp, cb, axes=[[0, 1], [0, 1]])   # (r_a', r_b')
-    return complex(env[0, 0])
+    g = _right_grams(a, b)[0]
+    return complex(np.vdot(a.cores[0][0] @ g, b.cores[0][0]))
 
 
 def tt_norm(a: TTTensor) -> float:
@@ -437,11 +428,16 @@ def _truncate_left_to_right(first, absorb, n: int, d: int, target_ranks,
     return TTTensor(tuple(cores), d=d)
 
 
-def _rounding_mode(a: TTTensor, target_ranks, truncation_tol):
+def _rounding_mode(a, target_ranks, truncation_tol):
+    """Rank vector for the n and d of ``a`` (a TT or dense operator), None
+    with a tolerance, which must be finite and >= 0 (else ValueError)."""
     if (target_ranks is None) == (truncation_tol is None):
         raise ValueError("supply exactly one of target_ranks, truncation_tol")
     if target_ranks is not None:
         return _validate_ranks(target_ranks, a.n, a.d)
+    if not 0 <= truncation_tol < np.inf:
+        raise ValueError("truncation_tol must be finite and >= 0, got "
+                         f"{truncation_tol!r}")
     return None
 
 
@@ -468,8 +464,8 @@ def tt_round(a: TTTensor, target_ranks=None, truncation_tol=None) -> TTTensor:
 def _right_grams(a: TTTensor, b: TTTensor) -> list:
     """Entry l is A_l B_l^H, row i of A_l (B_l) being the tensor that the
     cores right of bond l (right of core l, 0-based) make from bond index
-    i; the last is [[1]].  _right_grams(b, b) is the Gram list that
-    :func:`tt_round_sum` takes.  Two matrix products per bond; core 0 is
+    i; the last is [[1]].  tt_inner reads entry 0, and :func:`tt_round_sum`
+    takes _right_grams(b, b).  Two matrix products per bond; core 0 is
     never read, so the Grams serve every tt_scale of a and b."""
     grams = [np.ones((1, 1))]
     for ca, cb in zip(a.cores[:0:-1], b.cores[:0:-1]):

@@ -378,6 +378,15 @@ def test_estimate_rejects_config_faults(config, mode):
     assert _estimate_exit_code(_FUZZ_RECORD, mode, config) == 1
 
 
+@pytest.mark.parametrize("config", [
+    {"plateau_rel_tol": float("nan")}, {"plateau_rel_tol": float("inf")},
+    {"tt_round_tol": -0.5}])
+def test_estimate_rejects_negative_or_non_finite_tolerances(config):
+    # json reads NaN: a NaN plateau_rel_tol exited 0 after 10 iterations
+    assert _estimate_exit_code(_FUZZ_RECORD, [],
+                               {**_FUZZ_CONFIG, **config}) == 1
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings(
     "ignore:invalid value encountered:RuntimeWarning")

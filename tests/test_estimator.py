@@ -1125,8 +1125,8 @@ def test_pgd_divergence_reports_iteration():
 @pytest.mark.filterwarnings(
     "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("runner,backend,unit", [
-    (pgd, "tt", "iteration 2"), (pgd, "dense", "iteration 2"),
-    (psgd, "tt", "epoch 2")])
+    (pgd, "tt", "iteration 1"), (pgd, "dense", "iteration 2"),
+    (psgd, "tt", "epoch 1")])
 def test_divergence_names_the_outer_step_on_every_path(runner, backend,
                                                         unit):
     # the failed decomposition of an overflowing step becomes a
@@ -1177,6 +1177,22 @@ def test_psgd_requires_epoch_covering_nonzeros():
     config = EstimatorConfig(ranks=1, epoch_size=2, batch_size=2)
     with pytest.raises(ValueError):
         psgd(rec, povm, config)
+
+
+@pytest.mark.parametrize("n", [3, 11])
+def test_psgd_rejects_an_epoch_above_the_outcome_count(n):
+    # at n=3 an epoch of 1000 stepped only K=64 rows; beyond K=2^20 the
+    # filler's rejection loop could not end.  Nothing is drawn first.
+    povm = ProductPOVM.local_sic(n)
+    rec = sample_sequential(povm, maximally_mixed(n), 3000, seed=57)
+    config = EstimatorConfig(ranks=1, epoch_size=povm.k_total + 1,
+                             max_epochs=1)
+    with pytest.raises(ValueError, match=f"K={povm.k_total}"):
+        psgd(rec, povm, config)
+    if n == 3:
+        assert len(rec.p_hat) == 64  # every outcome observed
+        with pytest.raises(ValueError, match="K=64"):
+            psgd(rec, povm, dataclasses.replace(config, epoch_size=1000))
 
 
 def test_psgd_close_to_pgd_at_n5():
@@ -1326,6 +1342,15 @@ def test_config_validation():
     ("scale_2n", 1), ("record_trace", None), ("check_iterates", "no")])
 def test_config_rejects_malformed_fields(field, value):
     with pytest.raises(ValueError, match=field):
+        EstimatorConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+@pytest.mark.parametrize("field", ["plateau_rel_tol", "tt_round_tol"])
+def test_config_rejects_negative_or_non_finite_tolerances(field, value):
+    # a NaN plateau_rel_tol ended every run after plateau_window steps,
+    # and tt_round_tol=-0.5 rounded as +0.5
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
         EstimatorConfig(**{field: value})
 
 

@@ -450,6 +450,24 @@ def test_outcome_amplitudes_empty_batch_and_validation():
         outcome_amplitudes(ProductPOVM.local_sic(3), mm, [(1, 1, 1)])
 
 
+def test_outcome_indices_must_be_integers():
+    # float and bool indices were truncated: (1.7, 2, 3) read as (1, 2, 3)
+    # and (True, True, True) as (1, 1, 1)
+    povm = ProductPOVM.local_sic(3)
+    mm = maximally_mixed(3)
+    for bad in ([[1.7, 2, 3]], [[True, True, True]], [[1.0, 2.0, 3.0]]):
+        with pytest.raises(ValueError, match="integers"):
+            outcome_amplitudes(povm, mm, bad)
+    for bad in ([1.9], (True,), np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="integers"):
+            marginal_prefix_prob(povm, mm, bad)
+    for bad in ((0,), (1, 5)):
+        with pytest.raises(ValueError, match="out of range"):
+            marginal_prefix_prob(povm, mm, bad)
+    assert marginal_prefix_prob(povm, mm, np.array([1, 2])) == \
+        marginal_prefix_prob(povm, mm, (1, 2))
+
+
 def _amplitude_case(kind):
     """(povm, state, 1-based outcome rows, in no sorted order) of the
     prefix-tree edge cases."""

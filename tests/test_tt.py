@@ -11,6 +11,7 @@ from mpoqst.tt import (
     _orthogonalize_left,
     _orthogonalize_right,
     _right_grams,
+    cap_ranks,
     fuse_dense_to_tensor,
     fuse_local_operator,
     hermitian_basis,
@@ -81,6 +82,15 @@ def test_from_dense_requires_exactly_one_mode():
         tt_from_dense(rho, target_ranks=(1,), truncation_tol=1e-6)
 
 
+@pytest.mark.parametrize("tol", [-0.5, float("nan"), float("inf")])
+def test_rounding_rejects_a_negative_or_non_finite_tolerance(tol):
+    # -0.5 used to round as +0.5: the budget is squared
+    with pytest.raises(ValueError, match="truncation_tol"):
+        tt_from_dense(np.eye(4) / 4, truncation_tol=tol)
+    with pytest.raises(ValueError, match="truncation_tol"):
+        tt_round(maximally_mixed(2), truncation_tol=tol)
+
+
 def test_from_dense_rank_cap_validation():
     rho = np.eye(4) / 4
     with pytest.raises(ValueError):
@@ -144,6 +154,28 @@ def test_inner_maximally_mixed():
     for n in (1, 2, 4):
         mm = maximally_mixed(n)
         assert abs(tt_inner(mm, mm) - 2.0 ** (-n)) < 1e-14
+
+
+def _left_walk_inner(a, b):
+    """Frozen copy of tt_inner's former left-to-right tensordot walk."""
+    env = np.ones((1, 1))
+    for ca, cb in zip(a.cores, b.cores):
+        tmp = np.tensordot(env, ca.conj(), axes=[[0], [0]])
+        env = np.tensordot(tmp, cb, axes=[[0, 1], [0, 1]])
+    return complex(env[0, 0])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_inner_matches_the_left_walk(n, d):
+    # the Gram walk reorders the sums only: real and complex cores, and
+    # unequal ranks on the two sides
+    a = random_tt(n, d, cap_ranks(3, n, d), seed=n)
+    b = random_tt(n, d, cap_ranks(([5, 2] * n)[:n - 1], n, d), seed=10 + n)
+    real = [TTTensor(tuple(c.real for c in x.cores), d=d) for x in (a, b)]
+    for x, y in [(a, b), (real[0], b), (a, real[1]), tuple(real), (b, a)]:
+        got, want = tt_inner(x, y), _left_walk_inner(x, y)
+        assert abs(got - want) <= 1e-14 * tt_norm(x) * tt_norm(y)
 
 
 @given(st.integers(0, 10 ** 6))
