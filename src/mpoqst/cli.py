@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 input error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -61,6 +62,16 @@ from .tt import (
 def _provenance(inputs, seed=None) -> dict:
     return {"version": __version__, "input_sha256": _json_sha256(inputs),
             "seed": seed}
+
+
+def _file_sha256(label: str) -> str:
+    """Hex sha256 of the bytes of the input file ``label``, so that
+    provenance follows a file's contents, not its path; 'local-sic' names
+    no file and stays a label."""
+    if label == "local-sic":
+        return label
+    with open(label, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _write_json(path, payload) -> None:
@@ -122,8 +133,8 @@ def cmd_measure(args) -> int:
     payload = record_to_json_dict(record)
     payload["format"] = "mpoqst-record"
     payload["provenance"] = _provenance(
-        {"state": args.state, "povm": args.povm, "shots": args.shots,
-         "exact": args.exact}, seed=args.seed)
+        {"state": _file_sha256(args.state), "povm": _file_sha256(args.povm),
+         "shots": args.shots, "exact": args.exact}, seed=args.seed)
     with open(args.out, "w") as fh:
         write_record_json(fh, payload, record)
     print(args.out)
@@ -146,8 +157,9 @@ def _record_state(path, povm: ProductPOVM):
 
 
 def cmd_estimate(args) -> int:
-    with open(args.record) as fh:
-        record = record_from_json_dict(json.load(fh))
+    with open(args.record, "rb") as fh:
+        raw = fh.read()
+    record = record_from_json_dict(json.loads(raw))
     if not len(record.values):
         raise ValueError(f"record {args.record} holds no outcomes")
     povm = _load_povm(args.povm, n=record.outcomes.shape[1])
@@ -176,8 +188,9 @@ def cmd_estimate(args) -> int:
                  map(astuple, estimate.trace_log))
     payload = {
         "format": "mpoqst-estimate",
-        "provenance": _provenance({"record": args.record, "povm": args.povm},
-                                  seed=record.seed),
+        "provenance": _provenance(
+            {"record": hashlib.sha256(raw).hexdigest(),
+             "povm": _file_sha256(args.povm)}, seed=record.seed),
         "iterations_run": estimate.iterations_run,
         "converged_reason": estimate.converged_reason,
         "metadata": estimate.metadata,

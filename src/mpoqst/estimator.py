@@ -26,9 +26,11 @@ right parts are read off the same outcome prefix tree once per run
 dense cores), and each step rounds rho - mu Phi(rho) + mu E from them
 with ``tt_round_sum``, one eigenproblem of size r d^2 per bond at O(n
 d^2 r R^2) per step instead of the O(n d^2 R^3) of rounding the whole
-sum.  Only PGD's spectral start also reads E.  The loss of PGD, PSGD and
-``loss`` reads none: its cross term <E, rho> sums the amplitudes of the
-record's outcomes, one walk of the same prefix tree (_trie_amplitudes).
+sum.  Each PSGD batch step rounds rho - mu grad the same way, from the
+Grams of the batch gradient's own prefix tree.  Only PGD's spectral
+start also reads E.  The loss of PGD, PSGD and ``loss`` reads none: its
+cross term <E, rho> sums the amplitudes of the record's outcomes, one
+walk of the same prefix tree (_trie_amplitudes).
 
 One loop (``_descend``) runs PGD on MPOs, PGD on dense matrices (the
 reference backend for small n) and PSGD.  It owns the step schedule,
@@ -265,8 +267,9 @@ def _trie_cores(trie: _Trie, local: list) -> list:
 
 def _trie_grams(trie: _Trie, local: list) -> list:
     """The right Gram matrices of the TT whose cores _trie_cores(trie,
-    local) fills, equal to tt._right_grams of it with itself, but read
-    off the trie's ids with no product over those mostly-zero cores.
+    local) fills (E, or a PSGD batch gradient), equal to tt._right_grams
+    of it with itself, but read off the trie's ids with no product over
+    those mostly-zero cores.
 
     With Gv = V V^H for site l's rows V = local[l] and G the Gram right of
     a core:
@@ -428,8 +431,9 @@ def _coordinate_trace(x: TTTensor) -> float:
 def _project(x: TTTensor, ranks, round_tol: float = None,
              data: TTTensor = None, grams: list = None) -> TTTensor:
     """project_mpo in coordinates, of x plus ``data`` when given, rounded
-    by tt_round_sum from data's right Gram matrices ``grams`` (for E,
-    the _trie_grams of _empirical_coordinates)."""
+    by tt_round_sum from data's right Gram matrices ``grams``.  The data
+    is a scaled E (grams: the _trie_grams of _empirical_coordinates) or
+    a scaled PSGD batch gradient (the _trie_grams of the batch's tree)."""
     capped = cap_ranks(ranks, x.n, x.d)
     if data is None:
         x = tt_round(x, target_ranks=capped)
@@ -739,8 +743,9 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
     containing every nonzero-count outcome plus seeded zero-count filler,
     then runs floor(N/B) iterations on sequential batches of B, each using
     the partial gradient sum_{k in batch} (<A_k, rho> - p_hat_k) A_k; the
-    batch's amplitudes and gradient cores read one prefix tree of the
-    batch.
+    batch's amplitudes, its gradient's cores and their right Gram
+    matrices read one prefix tree of the batch, and each step rounds
+    rho - mu grad from those Grams, as PGD rounds against E's.
 
     The nonzero outcomes are deliberately oversampled relative to a
     uniform pass over all K outcomes, and the batch gradient is used
@@ -756,8 +761,9 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
 
 def _psgd(record, trie, povm, config, ranks):
     """PSGD's epoch sizing, its loss (the TT paths' _loss) and its epochs
-    of batch steps.  Each batch's prefix tree gives both its amplitudes
-    and its gradient's cores."""
+    of batch steps.  Each batch's prefix tree gives its amplitudes, its
+    gradient's cores and their right Gram matrices, from which
+    _project rounds rho - mu grad by tt_round_sum."""
     n, d = povm.n, povm.d
     observed, p_obs = record.outcomes, record.p_hat
     n_obs = len(p_obs)
@@ -787,8 +793,9 @@ def _psgd(record, trie, povm, config, ranks):
             part = replace(part, weights=_trie_amplitudes(part, rho, local)
                            - part.weights)
             grad = TTTensor(tuple(_trie_cores(part, local)), d=d)
-            rho = _project(tt_add(rho, tt_scale(grad, -mu)), ranks,
-                           config.tt_round_tol)
+            rho = _project(rho, ranks, config.tt_round_tol,
+                           data=tt_scale(grad, -mu),
+                           grams=_trie_grams(part, local))
             yield rho
 
     loss_of = partial(_loss, trie=trie, povm=povm, local=local)

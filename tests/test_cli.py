@@ -432,6 +432,47 @@ def test_measure_with_equal_sites_file_then_estimate(workspace):
                 "--config", cfg, "--out", workspace / "fit"]) == 0
 
 
+@pytest.mark.parametrize("varied", ["measure-state", "measure-povm",
+                                    "estimate-record", "estimate-povm"])
+def test_provenance_hashes_input_contents(workspace, varied):
+    # the same input bytes in two directories give one input_sha256, and
+    # one changed byte (whitespace: the same JSON) gives another
+    state = _generate(workspace)
+    sites = workspace / "sites.json"
+    sites.write_text(json.dumps({"kind": "product",
+                                 "sites": [_sic_site(), _sic_site()]},
+                                indent=2))
+    record = workspace / "rec.json"
+    assert run(["measure", "--state", state, "--shots", 200,
+                "--out", record]) == 0
+    cfg = workspace / "cfg.json"
+    cfg.write_text(json.dumps({"ranks": 2, "max_iters": 1}))
+    command, kind = varied.split("-")
+    source = {"state": state, "povm": sites, "record": record}[kind]
+    data = source.read_bytes()
+    edited = data.replace(b"\n", b" ", 1)
+    assert edited != data
+    hashes = []
+    for name, raw in (("a", data), ("b", data), ("c", edited)):
+        folder = workspace / name
+        folder.mkdir()
+        inputs = {"state": state, "povm": sites, "record": record,
+                  kind: folder / source.name}
+        inputs[kind].write_bytes(raw)
+        if command == "measure":
+            args = ["measure", "--state", inputs["state"],
+                    "--povm", inputs["povm"], "--shots", 200,
+                    "--out", folder / "out.json"]
+        else:
+            args = ["estimate", "--record", inputs["record"],
+                    "--povm", inputs["povm"], "--config", cfg,
+                    "--out", folder / "out"]
+        assert run(args) == 0
+        payload = json.loads((folder / "out.json").read_text())
+        hashes.append(payload["provenance"]["input_sha256"])
+    assert hashes[0] == hashes[1] != hashes[2]
+
+
 _MEASURE_MODES = [[], ["--exact"], ["--sampler", "enumerate"]]
 _NOT_NUMBER = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3),

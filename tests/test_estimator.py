@@ -418,6 +418,30 @@ def test_no_gram_product_over_e_on_pgd_and_spectral_paths(monkeypatch):
     pgd(rec, povm, dataclasses.replace(config, backend="dense"))
 
 
+@pytest.mark.parametrize("init", ["random", "spectral"])
+def test_psgd_steps_call_no_tt_add_or_tt_round(init, monkeypatch):
+    # each batch step rounds rho - mu grad from the batch's prefix-tree
+    # Grams: once the start is built, nothing adds TTs or QR-rounds them
+    start = estimator._initial_state
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tt_add or tt_round called after the start")
+
+    def guarded_start(*args, **kwargs):
+        state = start(*args, **kwargs)
+        for module in (estimator, tt):
+            monkeypatch.setattr(module, "tt_add", refuse)
+            monkeypatch.setattr(module, "tt_round", refuse)
+        return state
+
+    monkeypatch.setattr(estimator, "_initial_state", guarded_start)
+    povm, rec = _povm_and_record("sic", 5)
+    config = EstimatorConfig(ranks=2, init=init, init_seed=3, max_epochs=2,
+                             **STEP_PRESETS[f"psgd-{init}"])
+    assert config.tt_round_tol is None
+    assert psgd(rec, povm, config).iterations_run > 0
+
+
 def test_no_inner_product_against_e_on_the_pgd_path(monkeypatch):
     # the loss's cross term comes from the record's prefix tree: the only
     # tt_inner left is <rho, Phi(rho)>, over rank-r iterates
@@ -947,7 +971,7 @@ def _complex_psgd_iterates(record, povm, config, n_epoch, batch):
     path computed them: fused batch amplitudes and batch gradients."""
     n, d = povm.n, povm.d
     ranks = config.rank_vector(n, d)
-    kappa = int(np.ceil(np.sqrt(max(ranks))))
+    kappa = int(np.ceil(np.sqrt(max(ranks, default=1))))
     start = random_mpdo(MPDOGenConfig(n=n, kappa=kappa, purity=10,
                                       seed=config.init_seed, d=d))
     state = _complex_project(start, ranks)
@@ -1056,11 +1080,23 @@ def _psgd_record_case(kind, n):
     return rec, povm, config
 
 
+def _psgd_short_case(n):
+    # at n <= 2 the bridge is core 0, which the batch step's tt_scale
+    # multiplies and the batch's Grams never read
+    povm, rec = _povm_and_record("sic", n)
+    config = EstimatorConfig(ranks=2, init="random", init_seed=78,
+                             max_epochs=3, batch_size=4,
+                             **STEP_PRESETS["psgd-random"])
+    return rec, povm, config
+
+
 @pytest.mark.parametrize("case", [
     _psgd_pinned_n5_case, _psgd_n8_epoch_case,
     lambda: _psgd_record_case("pauli6", 6),
     lambda: _psgd_record_case("qutrit", 3),
-], ids=["pinned-n5", "n8-epoch", "pauli6-n6", "qutrit-n3"])
+    lambda: _psgd_short_case(1), lambda: _psgd_short_case(2),
+], ids=["pinned-n5", "n8-epoch", "pauli6-n6", "qutrit-n3", "sic-n1",
+        "sic-n2"])
 def test_psgd_iterates_match_complex_reference(case, monkeypatch):
     rec, povm, config = case()
     got, meta = _run_iterates(psgd, rec, povm, config, monkeypatch)
