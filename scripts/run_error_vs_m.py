@@ -10,6 +10,7 @@ import argparse
 
 import numpy as np
 
+from mpoqst.estimator import STEP_PRESETS
 from mpoqst.experiment import ExperimentSpec, run_experiment
 
 
@@ -32,8 +33,8 @@ def main():
         algorithms=["pgd"],
         seeds=args.seeds,
         base_seed=args.base_seed,
-        estimator_overrides={"max_iters": 200, "mu0": 5 / 32, "lam": 1.0,
-                             "scale_2n": True},
+        estimator_overrides={"max_iters": 200,
+                             **STEP_PRESETS["pgd-fixed-random"]},
     )
     result = run_experiment(spec, args.out)
     meds = sorted((med["shots"], med["median_final_error"])

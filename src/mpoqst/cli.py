@@ -64,14 +64,18 @@ def _provenance(inputs, seed=None) -> dict:
             "seed": seed}
 
 
-def _file_sha256(label: str) -> str:
-    """Hex sha256 of the bytes of the input file ``label``, so that
-    provenance follows a file's contents, not its path; 'local-sic' names
-    no file and stays a label."""
-    if label == "local-sic":
-        return label
-    with open(label, "rb") as fh:
+def _file_sha256(path) -> str:
+    """Hex sha256 of the bytes of the input file at ``path`` (None for
+    none), so that provenance follows a file's contents, not its path."""
+    if path is None:
+        return None
+    with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _povm_sha256(label: str) -> str:
+    """_file_sha256, but 'local-sic' names no file and stays a label."""
+    return label if label == "local-sic" else _file_sha256(label)
 
 
 def _write_json(path, payload) -> None:
@@ -133,7 +137,7 @@ def cmd_measure(args) -> int:
     payload = record_to_json_dict(record)
     payload["format"] = "mpoqst-record"
     payload["provenance"] = _provenance(
-        {"state": _file_sha256(args.state), "povm": _file_sha256(args.povm),
+        {"state": _file_sha256(args.state), "povm": _povm_sha256(args.povm),
          "shots": args.shots, "exact": args.exact}, seed=args.seed)
     with open(args.out, "w") as fh:
         write_record_json(fh, payload, record)
@@ -190,7 +194,11 @@ def cmd_estimate(args) -> int:
         "format": "mpoqst-estimate",
         "provenance": _provenance(
             {"record": hashlib.sha256(raw).hexdigest(),
-             "povm": _file_sha256(args.povm)}, seed=record.seed),
+             "povm": _povm_sha256(args.povm),
+             "config": _file_sha256(args.config),
+             "algorithm": args.algorithm, "backend": args.backend,
+             "init_state": _file_sha256(args.init_state),
+             "truth": _file_sha256(args.truth)}, seed=record.seed),
         "iterations_run": estimate.iterations_run,
         "converged_reason": estimate.converged_reason,
         "metadata": estimate.metadata,

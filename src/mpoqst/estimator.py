@@ -17,20 +17,19 @@ construction; fused operators enter as their Hermitian part.
 
 The gradient splits into an iteration-dependent channel term
 sum_k <A_k, rho> A_k (a site-local superoperator, rank-preserving) and a
-data term E = sum_k p_hat_k A_k that is fixed for a given record.  E is
-assembled once as an exact MPO whose bond bases are the distinct observed
-outcome prefixes/suffixes, so its bond R grows with the number of
-distinct outcomes.  E is never orthogonalized: the Gram matrices of its
-right parts are read off the same outcome prefix tree once per run
-(_trie_grams: gathers and segment sums, no product over E's mostly-zero
-dense cores), and each step rounds rho - mu Phi(rho) + mu E from them
+data term E = sum_k p_hat_k A_k that is fixed for a given record.  The
+record's outcome prefix tree, which povm.py builds and alone reads, gives
+E (povm._trie_tt: an exact MPO whose bond R grows with the number of
+distinct outcomes), the Gram matrices of its right parts
+(povm._trie_grams, with no product over E's mostly-zero dense cores) and
+the loss's cross term <E, rho> (povm._trie_amplitudes).  E is never
+orthogonalized: each step rounds rho - mu Phi(rho) + mu E from its Grams
 with ``tt_round_sum``, one eigenproblem of size r d^2 per bond at O(n
 d^2 r R^2) per step instead of the O(n d^2 R^3) of rounding the whole
 sum.  Each PSGD batch step rounds rho - mu grad the same way, from the
-Grams of the batch gradient's own prefix tree.  Only PGD's spectral
-start also reads E.  The loss of PGD, PSGD and ``loss`` reads none: its
-cross term <E, rho> sums the amplitudes of the record's outcomes, one
-walk of the same prefix tree (_trie_amplitudes).
+TT and Grams of the batch's own prefix tree.  Traces come from
+tt.tt_coordinate_trace: this module reads no tree id and no coordinate
+position.
 
 One loop (``_descend``) runs PGD on MPOs, PGD on dense matrices (the
 reference backend for small n) and PSGD.  It owns the step schedule,
@@ -54,6 +53,8 @@ from .povm import (
     _outcome_trie,
     _Trie,
     _trie_amplitudes,
+    _trie_grams,
+    _trie_tt,
     dense_from_product,
     measure_map_dense,
     sum_channel,
@@ -69,6 +70,7 @@ from .tt import (
     cap_ranks,
     max_tt_ranks,
     tt_add,
+    tt_coordinate_trace,
     tt_from_dense,
     tt_from_hermitian_coordinates,
     tt_inner,
@@ -226,119 +228,11 @@ class Estimate:
 # sparse outcome sums as exact MPOs
 
 
-def _trie_cores(trie: _Trie, local: list) -> list:
-    """Cores of the exact MPO sum_k w_k v_{i_1(k)} x ... x v_{i_n(k)} of
-    the trie's outcomes and weights, where local[l] holds site l's vectors
-    v_i as rows (k_loc, d*d) and sets the cores' dtype.
-
-    Bond bases are the distinct outcome prefixes left of the bridge site
-    and the distinct suffixes right of it, so the representation is exact
-    with bond dimensions min(#prefixes, #suffixes) and never grows with
-    the number of terms beyond the enumeration caps.  A prefix core has
-    one parent row and one coordinate per column, a suffix core one
-    coordinate and one child column per row; both are filled by scatter
-    from the trie's ids, the bridge core by accumulation in sorted
-    outcome order.  ValueError for a trie with no rows.
-    """
-    rows, bridge = trie.rows, trie.bridge
-    if not len(rows):
-        raise ValueError("need at least one outcome")
-    prefix, first, suffix, rep = trie.prefix, trie.first, trie.suffix, trie.rep
-    dd = local[0].shape[1]
-    dtype = local[0].dtype
-    cores = []
-    for l in range(1, rows.shape[1] + 1):
-        vec, col = local[l - 1], rows[:, l - 1]
-        if l < bridge:
-            take = first[l]
-            core = np.zeros((len(first[l - 1]), dd, len(take)), dtype=dtype)
-            core[prefix[l - 1][take], :, np.arange(len(take))] = vec[col[take]]
-        elif l == bridge:
-            core = np.zeros((len(first[l - 1]), dd, len(rep[l])), dtype=dtype)
-            np.add.at(core, (prefix[l - 1], slice(None), suffix[l]),
-                      trie.weights[:, None] * vec[col])
-        else:
-            take = rep[l - 1]
-            core = np.zeros((len(take), dd, len(rep[l])), dtype=dtype)
-            core[np.arange(len(take)), :, suffix[l][take]] = vec[col[take]]
-        cores.append(core)
-    return cores
-
-
-def _trie_grams(trie: _Trie, local: list) -> list:
-    """The right Gram matrices of the TT whose cores _trie_cores(trie,
-    local) fills (E, or a PSGD batch gradient), equal to tt._right_grams
-    of it with itself, but read off the trie's ids with no product over
-    those mostly-zero cores.
-
-    With Gv = V V^H for site l's rows V = local[l] and G the Gram right of
-    a core:
-    - a suffix core (row i: coordinate c_i, one child ch_i) gives
-      Gv[c][:, c] * G[ch][:, ch], a gather, O(R^2);
-    - a prefix core (column j: one parent p_j, coordinate c_j) gives
-      Gv[c][:, c] * G summed over the sorted parent segments on both
-      axes;
-    - the bridge core holds one row w_k V[c_k] per outcome k, with suffix
-      id s_k, and the outcomes of each prefix are contiguous.  Per prefix
-      p, A_p = (w V[c])_p^T G[s_p], and entry (p, q) sums A_p[:, s_k] .
-      conj(w_k V[c_k]) over the outcomes k of prefix q; only q >= p is
-      formed, the rest is the Hermitian mirror.  O(d^2 U (R + P)) for U
-      outcomes and P prefixes, and nothing larger than a (U, d*d) block
-      beside the Grams.
-    Core 0 is never read, as in tt._right_grams.
-    """
-    rows, bridge = trie.rows, trie.bridge
-    n = rows.shape[1]
-    gv = [v @ v.conj().T for v in local]
-    grams = [np.ones((1, 1))]
-    for l in range(n, 1, -1):  # site l's core gives the Gram left of it
-        g, col = grams[-1], rows[:, l - 1]
-        if l > bridge:
-            take = trie.rep[l - 1]
-            c, ch = col[take], trie.suffix[l][take]
-            grams.append(np.take(gv[l - 1][c], c, axis=1)
-                         * np.take(g[ch], ch, axis=1))
-        elif l < bridge:
-            take = trie.first[l]
-            c, parent = col[take], trie.prefix[l - 1][take]
-            seg = np.flatnonzero(np.diff(parent, prepend=-1))
-            h = np.take(gv[l - 1][c], c, axis=1) * g
-            grams.append(np.add.reduceat(np.add.reduceat(h, seg, axis=0),
-                                         seg, axis=1))
-        else:
-            wv = trie.weights[:, None] * local[l - 1][col]  # (U, dd)
-            wv_h = np.ascontiguousarray(wv.conj().T)
-            s, seg = trie.suffix[l], trie.first[l - 1]
-            ends = np.append(seg[1:], len(rows))
-            out = np.zeros((len(seg), len(seg)), dtype=np.result_type(wv, g))
-            # row p from its prefix's rows on: the rest is its mirror
-            for p, (lo, hi) in enumerate(zip(seg, ends)):
-                a_p = wv[lo:hi].T @ g[s[lo:hi]]  # (dd, S)
-                t = np.take(a_p, s[lo:], axis=1) * wv_h[:, lo:]
-                out[p, p:] = np.add.reduceat(t.sum(axis=0), seg[p:] - lo)
-            out += np.triu(out, 1).conj().T
-            grams.append(out)
-    return grams[::-1]
-
-
 def outcome_sum_tt(outcomes, weights, povm: ProductPOVM) -> TTTensor:
     """Exact MPO for sum_k w_k B_{i_1(k)} x ... x B_{i_n(k)}, built on the
-    outcome prefix tree (see _trie_cores) from the fused() rows.  Bonds
+    outcome prefix tree (see povm._trie_tt) from the fused() rows.  Bonds
     may pass the structural caps when k_loc > d^2; tt_round cuts them."""
-    trie = _outcome_trie(outcomes, weights, povm)
-    return TTTensor(tuple(_trie_cores(trie, povm.fused())), d=povm.d)
-
-
-def _empirical_coordinates(trie: _Trie, povm: ProductPOVM) -> tuple:
-    """(E, grams): E = sum_k p_hat_k A_k over the record's prefix tree
-    (weights p_hat) as the raw prefix-tree TT in the coordinates of
-    tt.hermitian_basis, real as p_hat is real and every A_k Hermitian,
-    and its right Gram matrices from _trie_grams.  E is not
-    orthogonalized: tt_round_sum reads it through the Grams, also where a
-    bond passes its cap (k_loc > d^2)."""
-    local = povm.hermitian_coordinates()
-    emp = TTTensor(tuple(_trie_cores(trie, local)), d=povm.d)
-    return emp, _trie_grams(trie, local)
+    return _trie_tt(_outcome_trie(outcomes, weights, povm, povm.fused()))
 
 
 def empirical_operator(record, povm: ProductPOVM) -> TTTensor:
@@ -347,8 +241,9 @@ def empirical_operator(record, povm: ProductPOVM) -> TTTensor:
     (a right-to-left QR sweep, after a left-to-right one cuts any bond
     over its structural cap).  ValueError when a POVM element is not
     Hermitian."""
-    cores = _trie_cores(_outcome_trie(record.outcomes, record.p_hat, povm),
-                        povm.hermitian_coordinates())
+    trie = _outcome_trie(record.outcomes, record.p_hat, povm,
+                         povm.hermitian_coordinates())
+    cores = list(_trie_tt(trie).cores)
     dd = povm.d * povm.d
     if any(c.shape[2] > cap
            for c, cap in zip(cores, max_tt_ranks(povm.n, povm.d))):
@@ -361,14 +256,13 @@ def empirical_operator(record, povm: ProductPOVM) -> TTTensor:
 # loss
 
 
-def _loss(rho, trie: _Trie, povm: ProductPOVM, local: list) -> tuple:
-    """(g(rho), Phi(rho)) for the record's prefix tree (weights p_hat):
-    g = <rho, Phi(rho)> - 2 <E, rho> + sum p_hat^2, the cross term
-    sum_k p_hat_k <A_k, rho> from _trie_amplitudes (``local`` as there),
-    so no E is read, and Phi(rho) = sum_channel(povm, rho, local)."""
-    channel = sum_channel(povm, rho, local)
+def _loss(rho, trie: _Trie, povm: ProductPOVM) -> tuple:
+    """(g(rho), Phi(rho)) in the basis of the record's prefix tree
+    (weights p_hat): g = <rho, Phi(rho)> - 2 <E, rho> + sum p_hat^2, the
+    cross term from _trie_amplitudes, so no E is read."""
+    channel = sum_channel(povm, rho, trie.local)
     w = trie.weights
-    cross = (w @ _trie_amplitudes(trie, rho, local)).real
+    cross = (w @ _trie_amplitudes(trie, rho)).real
     quad = tt_inner(rho, channel).real
     return float(max(quad - 2.0 * cross + w @ w, 0.0)), channel
 
@@ -378,8 +272,8 @@ def loss(state: TTTensor, record, povm: ProductPOVM) -> float:
     <rho, Phi(rho)> - 2 <E, rho> + sum p_hat^2 with Phi the measurement
     channel, the cross term from the amplitudes of the record's outcomes
     (see _loss).  An empty record gives <rho, Phi(rho)>."""
-    trie = _outcome_trie(record.outcomes, record.p_hat, povm)
-    return _loss(state, trie, povm, povm.fused())[0]
+    trie = _outcome_trie(record.outcomes, record.p_hat, povm, povm.fused())
+    return _loss(state, trie, povm)[0]
 
 
 def _dense_weights(record, povm: ProductPOVM) -> np.ndarray:
@@ -419,21 +313,12 @@ def project_mpo(raw, ranks, d: int = 2, round_tol: float = None) -> TTTensor:
         _project(tt_to_hermitian_coordinates(raw), ranks, round_tol))
 
 
-def _coordinate_trace(x: TTTensor) -> float:
-    """The trace of a coordinate TT: the chain of the sums of its
-    diagonal-unit coordinates, which hermitian_basis lists first."""
-    v = np.ones((1, 1))
-    for core in x.cores:
-        v = v @ core[:, :x.d, :].sum(axis=1)
-    return v[0, 0]
-
-
 def _project(x: TTTensor, ranks, round_tol: float = None,
              data: TTTensor = None, grams: list = None) -> TTTensor:
     """project_mpo in coordinates, of x plus ``data`` when given, rounded
     by tt_round_sum from data's right Gram matrices ``grams``.  The data
-    is a scaled E (grams: the _trie_grams of _empirical_coordinates) or
-    a scaled PSGD batch gradient (the _trie_grams of the batch's tree)."""
+    is a scaled E or a scaled PSGD batch gradient, the _trie_tt of a
+    prefix tree, and grams that tree's _trie_grams."""
     capped = cap_ranks(ranks, x.n, x.d)
     if data is None:
         x = tt_round(x, target_ranks=capped)
@@ -441,7 +326,7 @@ def _project(x: TTTensor, ranks, round_tol: float = None,
         x = tt_round_sum(x, data, grams, capped)
     if round_tol is not None and x.n > 1:
         x = tt_round(x, truncation_tol=round_tol)
-    tr = _coordinate_trace(x)
+    tr = tt_coordinate_trace(x)
     if abs(tr) < TRACE_FLOOR:
         raise NumericalError(
             f"trace {abs(tr):.3e} below {TRACE_FLOOR}; normalization "
@@ -456,10 +341,10 @@ def _project(x: TTTensor, ranks, round_tol: float = None,
 def spectral_init(record, povm: ProductPOVM, ranks) -> TTTensor:
     """Project the rescaled adjoint map K (d^n + 1) / d^n sum p_hat_k A_k
     of the empirical probabilities onto the constraint set."""
-    config = EstimatorConfig(init="spectral")
-    trie = _outcome_trie(record.outcomes, record.p_hat, povm)
-    return tt_from_hermitian_coordinates(
-        _initial_state(trie, povm, config, ranks))
+    trie = _outcome_trie(record.outcomes, record.p_hat, povm,
+                         povm.hermitian_coordinates())
+    return tt_from_hermitian_coordinates(_initial_state(
+        trie, povm, EstimatorConfig(init="spectral"), ranks))
 
 
 def _random_mpdo(ranks, n: int, d: int, seed: int) -> TTTensor:
@@ -477,14 +362,12 @@ def random_init(ranks, n: int, d: int, seed: int) -> TTTensor:
 
 
 def _initial_state(trie: _Trie, povm, config: EstimatorConfig, ranks,
-                   empirical: TTTensor = None, grams: list = None) -> TTTensor:
+                   data: tuple = None) -> TTTensor:
     """The start in coordinates.  The spectral start rounds the scaled E
-    through E's trie Grams; ``empirical`` and ``grams``, if given, are
-    the _empirical_coordinates of the record's prefix tree ``trie``, else
-    they are built here (the dense backend and PSGD)."""
+    through its Grams: ``data``, (_trie_tt(trie), _trie_grams(trie)) of
+    the record's prefix tree, is built here when not given."""
     if config.init == "spectral":
-        if empirical is None:
-            empirical, grams = _empirical_coordinates(trie, povm)
+        empirical, grams = data or (_trie_tt(trie), _trie_grams(trie))
         n, d = povm.n, povm.d
         scale = povm.k_total * (d ** n + 1) / d ** n
         return _project(tt_zeros(n, d), ranks,
@@ -562,7 +445,7 @@ def _check_iterate(x: TTTensor):
         if core.dtype != np.float64 or not np.isfinite(core).all():
             raise NumericalError(f"iterate core {l + 1} is not finite "
                                  "float64")
-    tr = _coordinate_trace(x)
+    tr = tt_coordinate_trace(x)
     if abs(tr - 1.0) > 1e-10:
         raise NumericalError(f"iterate trace {tr} deviates from 1")
 
@@ -580,15 +463,16 @@ def _descend(record, povm: ProductPOVM, config: EstimatorConfig, truth,
     """The one descent loop, shared by PGD on either backend and PSGD.
 
     ``prepare(record, trie, povm, config, ranks)``, ``trie`` the record's
-    prefix tree, returns (state, loss_of, step, extra): the start, a map
-    of an iterate to (its loss, aux), a generator ``step(state, k, mu,
-    aux)`` of the iterates of outer step k (one for PGD, one per batch
-    for PSGD's epoch k) and extra metadata.  The loop owns the step
-    schedule mu0 * 2^n * lam^k, checks every iterate when check_iterates
-    is set, logs a row per outer step and stops on the budget (max_iters,
-    for PSGD max_epochs) or a loss plateau.  A failed decomposition or a
-    non-finite loss raises NumericalError naming the outer step
-    (iteration or epoch) and its step size; an empty record, ValueError.
+    prefix tree in coordinates, returns (state, loss_of, step, extra):
+    the start, a map of an iterate to (its loss, aux), a generator
+    ``step(state, k, mu, aux)`` of the iterates of outer step k (one for
+    PGD, one per batch for PSGD's epoch k) and extra metadata.  The loop
+    owns the step schedule mu0 * 2^n * lam^k, checks every iterate when
+    check_iterates is set, logs a row per outer step and stops on the
+    budget (max_iters, for PSGD max_epochs) or a loss plateau.  A failed
+    decomposition or a non-finite loss raises NumericalError naming the
+    outer step (iteration or epoch) and its step size; an empty record
+    or a non-Hermitian POVM element, ValueError.
 
     Iterates are coordinate TTs, and the checks read them as they are;
     the rows' error and the returned state see their fused map-back.
@@ -605,7 +489,8 @@ def _descend(record, povm: ProductPOVM, config: EstimatorConfig, truth,
     else:
         unit, limit, reason = "iteration", config.max_iters, "max_iters"
     t0 = time.perf_counter()
-    trie = _outcome_trie(record.outcomes, record.p_hat, povm)
+    trie = _outcome_trie(record.outcomes, record.p_hat, povm,
+                         povm.hermitian_coordinates())
     state, loss_of, step, extra = prepare(record, trie, povm, config, ranks)
     log = []
     cur_loss, aux = loss_of(state)
@@ -650,7 +535,8 @@ def pgd(record, povm: ProductPOVM, config: EstimatorConfig,
     mu_tau = mu0 * 2^n * lam^tau.  Stops on max_iters or when the relative
     loss change stays within plateau_rel_tol over plateau_window
     iterations.  Raises NumericalError on a failed decomposition or a
-    non-finite loss (step too large), reporting the offending iteration."""
+    non-finite loss (step too large), reporting the offending iteration;
+    ValueError on either backend for a non-Hermitian POVM element."""
     prepare = _dense_pgd if config.backend == "dense" else _tt_pgd
     return _descend(record, povm, config, truth, "pgd", prepare)
 
@@ -660,16 +546,15 @@ def _tt_pgd(record, trie, povm, config, ranks):
     record's prefix tree, then each step rounds rho - mu Phi(rho) + mu E
     through them.  The loss and the next step share one sum_channel per
     iterate."""
-    emp, grams = _empirical_coordinates(trie, povm)
-    state = _initial_state(trie, povm, config, ranks, emp, grams)
+    emp, grams = _trie_tt(trie), _trie_grams(trie)
+    state = _initial_state(trie, povm, config, ranks, (emp, grams))
 
     def step(rho, k, mu, channel):
         yield _project(tt_add(rho, tt_scale(channel, -mu)), ranks,
                        config.tt_round_tol, data=tt_scale(emp, mu),
                        grams=grams)
 
-    loss_of = partial(_loss, trie=trie, povm=povm,
-                      local=povm.hermitian_coordinates())
+    loss_of = partial(_loss, trie=trie, povm=povm)
     return state, loss_of, step, {}
 
 
@@ -777,7 +662,6 @@ def _psgd(record, trie, povm, config, ranks):
         n_epoch = min(max(10 * d * d * n * max_rank ** 2, n_obs),
                       povm.k_total)
     batch = min(config.batch_size, n_epoch)
-    local = povm.hermitian_coordinates()
     state = _initial_state(trie, povm, config, ranks)
 
     def step(rho, epoch, mu, _channel):
@@ -788,15 +672,15 @@ def _psgd(record, trie, povm, config, ranks):
         order = rng.permutation(len(subset))
         for it in range(len(subset) // batch):
             pick = order[it * batch:(it + 1) * batch]
-            part = _outcome_trie(subset[pick], subset_p[pick], povm)
+            part = _outcome_trie(subset[pick], subset_p[pick], povm,
+                                 trie.local)
             # weights <A_k, rho> - p_hat_k, in the tree's row order
-            part = replace(part, weights=_trie_amplitudes(part, rho, local)
+            part = replace(part, weights=_trie_amplitudes(part, rho)
                            - part.weights)
-            grad = TTTensor(tuple(_trie_cores(part, local)), d=d)
             rho = _project(rho, ranks, config.tt_round_tol,
-                           data=tt_scale(grad, -mu),
-                           grams=_trie_grams(part, local))
+                           data=tt_scale(_trie_tt(part), -mu),
+                           grams=_trie_grams(part))
             yield rho
 
-    loss_of = partial(_loss, trie=trie, povm=povm, local=local)
+    loss_of = partial(_loss, trie=trie, povm=povm)
     return state, loss_of, step, {"epoch_size": n_epoch, "batch_size": batch}

@@ -4,6 +4,9 @@ Outcome indices are 1-based tuples throughout the public API: for a
 product POVM on n sites, an outcome is (i_1, ..., i_n) with each i_l in
 1..K_loc; dense POVMs use single-entry tuples (k,).  Probabilities follow
 the Born rule p_k = <A_k, rho> = trace(A_k rho).
+
+The outcome prefix tree (_outcome_trie) carries the rows it is read in;
+only this module's _trie_* readers read its ids.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 import numpy as np
 
@@ -579,7 +582,8 @@ class _Trie:
     first[l] the first row of each distinct prefix, in id order.
     suffix[c] holds each row's id of its suffix from column c
     (c >= bridge) and rep[c] one row of each distinct suffix, in id
-    order."""
+    order.  local[l] holds site l's (k_loc, d*d) element rows, fused()
+    or hermitian_coordinates(), that every reader contracts."""
 
     rows: np.ndarray
     order: np.ndarray
@@ -589,14 +593,15 @@ class _Trie:
     first: list
     suffix: dict
     rep: dict
+    local: list
 
 
-def _outcome_trie(outcomes, weights, povm: ProductPOVM) -> _Trie:
-    """The one id pass over the sorted outcomes that _trie_amplitudes and
-    the estimator's prefix-tree MPOs read.  A prefix id is the number of
-    prefix changes down the sorted rows, so the ids of each length are
-    sorted; the suffix ids are ranked from the right, each column sorted
-    together with the ids of the suffix after it."""
+def _outcome_trie(outcomes, weights, povm: ProductPOVM, local: list) -> _Trie:
+    """The one id pass over the sorted outcomes that the _trie_* readers
+    read, in the element rows ``local`` (see _Trie).  A prefix id is the
+    number of prefix changes down the sorted rows, so the ids of each
+    length are sorted; the suffix ids are ranked from the right, each
+    column sorted together with the ids of the suffix after it."""
     n = povm.n
     rows = _outcome_indices(povm, outcomes)
     order = np.lexsort(rows.T[::-1])
@@ -620,13 +625,14 @@ def _outcome_trie(outcomes, weights, povm: ProductPOVM) -> _Trie:
         suffix[c][by] = np.cumsum(new) - 1
         rep[c] = by[new]
     weights = None if weights is None else np.asarray(weights)[order]
-    return _Trie(rows, order, weights, bridge, prefix, first, suffix, rep)
+    return _Trie(rows, order, weights, bridge, prefix, first, suffix, rep,
+                 local)
 
 
-def _trie_amplitudes(trie: _Trie, state: TTTensor, local: list) -> np.ndarray:
-    """Raw <A_k, state> for every row k of the trie, in its order, where
-    local[l] holds site l's element rows b_i in the basis of the state's
-    legs (fused() rows, or hermitian_coordinates() for a coordinate TT).
+def _trie_amplitudes(trie: _Trie, state: TTTensor) -> np.ndarray:
+    """Raw <A_k, state> for every row k of the trie, in its order, with
+    the tree's element rows b_i = trie.local[l] in the basis of the
+    state's legs.
 
     One left vector per distinct prefix, its parent's times one transfer
     matrix E_i = sum_s conj(b_i(s)) core[:, s, :], and one right vector
@@ -635,7 +641,7 @@ def _trie_amplitudes(trie: _Trie, state: TTTensor, local: list) -> np.ndarray:
     all k_loc transfers in one matrix product and keeps the observed
     ones: O(k d^2 r^2) per site and O(k r^2) per distinct prefix or
     suffix, O(r) per row."""
-    rows, bridge = trie.rows, trie.bridge
+    rows, bridge, local = trie.rows, trie.bridge, trie.local
     left = np.ones((1, 1))  # one row per distinct prefix
     for l in range(1, bridge + 1):
         v, core = local[l - 1], state.cores[l - 1]
@@ -657,6 +663,98 @@ def _trie_amplitudes(trie: _Trie, state: TTTensor, local: list) -> np.ndarray:
                      np.take(right, trie.suffix[bridge], axis=0))
 
 
+def _trie_tt(trie: _Trie) -> TTTensor:
+    """The exact MPO sum_k w_k v_{i_1(k)} x ... x v_{i_n(k)} of the
+    trie's outcomes and weights, of the dtype of its rows trie.local.
+
+    Bond bases are the distinct outcome prefixes left of the bridge site
+    and the distinct suffixes right of it, so the representation is exact
+    with bond dimensions min(#prefixes, #suffixes) and never grows with
+    the number of terms beyond the enumeration caps.  A prefix core has
+    one parent row and one coordinate per column, a suffix core one
+    coordinate and one child column per row; both are filled by scatter
+    from the trie's ids, the bridge core by accumulation in sorted
+    outcome order.  ValueError for a trie with no rows.
+    """
+    rows, bridge, local = trie.rows, trie.bridge, trie.local
+    if not len(rows):
+        raise ValueError("need at least one outcome")
+    prefix, first, suffix, rep = trie.prefix, trie.first, trie.suffix, trie.rep
+    dd, dtype = local[0].shape[1], local[0].dtype
+    cores = []
+    for l in range(1, rows.shape[1] + 1):
+        vec, col = local[l - 1], rows[:, l - 1]
+        if l < bridge:
+            take = first[l]
+            core = np.zeros((len(first[l - 1]), dd, len(take)), dtype=dtype)
+            core[prefix[l - 1][take], :, np.arange(len(take))] = vec[col[take]]
+        elif l == bridge:
+            core = np.zeros((len(first[l - 1]), dd, len(rep[l])), dtype=dtype)
+            np.add.at(core, (prefix[l - 1], slice(None), suffix[l]),
+                      trie.weights[:, None] * vec[col])
+        else:
+            take = rep[l - 1]
+            core = np.zeros((len(take), dd, len(rep[l])), dtype=dtype)
+            core[np.arange(len(take)), :, suffix[l][take]] = vec[col[take]]
+        cores.append(core)
+    return TTTensor(tuple(cores), d=isqrt(dd))
+
+
+def _trie_grams(trie: _Trie) -> list:
+    """The right Gram matrices of _trie_tt(trie) (E, or a PSGD batch
+    gradient), equal to tt._right_grams of it with itself, but read off
+    the trie's ids with no product over those mostly-zero cores.
+
+    With Gv = V V^H for site l's rows V = trie.local[l] and G the Gram
+    right of a core:
+    - a suffix core (row i: coordinate c_i, one child ch_i) gives
+      Gv[c][:, c] * G[ch][:, ch], a gather, O(R^2);
+    - a prefix core (column j: one parent p_j, coordinate c_j) gives
+      Gv[c][:, c] * G summed over the sorted parent segments on both
+      axes;
+    - the bridge core holds one row w_k V[c_k] per outcome k, with suffix
+      id s_k, and the outcomes of each prefix are contiguous.  Per prefix
+      p, A_p = (w V[c])_p^T G[s_p], and entry (p, q) sums A_p[:, s_k] .
+      conj(w_k V[c_k]) over the outcomes k of prefix q; only q >= p is
+      formed, the rest is the Hermitian mirror.  O(d^2 U (R + P)) for U
+      outcomes and P prefixes, and nothing larger than a (U, d*d) block
+      beside the Grams.
+    Core 0 is never read, as in tt._right_grams.
+    """
+    rows, bridge, local = trie.rows, trie.bridge, trie.local
+    n = rows.shape[1]
+    gv = [v @ v.conj().T for v in local]
+    grams = [np.ones((1, 1))]
+    for l in range(n, 1, -1):  # site l's core gives the Gram left of it
+        g, col = grams[-1], rows[:, l - 1]
+        if l > bridge:
+            take = trie.rep[l - 1]
+            c, ch = col[take], trie.suffix[l][take]
+            grams.append(np.take(gv[l - 1][c], c, axis=1)
+                         * np.take(g[ch], ch, axis=1))
+        elif l < bridge:
+            take = trie.first[l]
+            c, parent = col[take], trie.prefix[l - 1][take]
+            seg = np.flatnonzero(np.diff(parent, prepend=-1))
+            h = np.take(gv[l - 1][c], c, axis=1) * g
+            grams.append(np.add.reduceat(np.add.reduceat(h, seg, axis=0),
+                                         seg, axis=1))
+        else:
+            wv = trie.weights[:, None] * local[l - 1][col]  # (U, dd)
+            wv_h = np.ascontiguousarray(wv.conj().T)
+            s, seg = trie.suffix[l], trie.first[l - 1]
+            ends = np.append(seg[1:], len(rows))
+            out = np.zeros((len(seg), len(seg)), dtype=np.result_type(wv, g))
+            # row p from its prefix's rows on: the rest is its mirror
+            for p, (lo, hi) in enumerate(zip(seg, ends)):
+                a_p = wv[lo:hi].T @ g[s[lo:hi]]  # (dd, S)
+                t = np.take(a_p, s[lo:], axis=1) * wv_h[:, lo:]
+                out[p, p:] = np.add.reduceat(t.sum(axis=0), seg[p:] - lo)
+            out += np.triu(out, 1).conj().T
+            grams.append(out)
+    return grams[::-1]
+
+
 def outcome_amplitudes(povm: ProductPOVM, state: TTTensor,
                        outcomes) -> np.ndarray:
     """Raw <A_k, state> for a (B, n) batch of 1-based outcomes, as a (B,)
@@ -664,8 +762,8 @@ def outcome_amplitudes(povm: ProductPOVM, state: TTTensor,
     non-Hermitian iterates): _trie_amplitudes over the batch's prefix
     tree with the fused() rows, put back in batch order."""
     _check_shapes(povm, state)
-    trie = _outcome_trie(outcomes, None, povm)
-    return _trie_amplitudes(trie, state, povm.fused())[np.argsort(trie.order)]
+    trie = _outcome_trie(outcomes, None, povm, povm.fused())
+    return _trie_amplitudes(trie, state)[np.argsort(trie.order)]
 
 
 def outcome_amplitude(povm: ProductPOVM, state: TTTensor, outcome) -> complex:

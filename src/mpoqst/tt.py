@@ -299,14 +299,23 @@ def tt_norm(a: TTTensor) -> float:
     return float(np.linalg.norm(cores[0]))
 
 
-def tt_trace(a: TTTensor) -> complex:
-    """Operator trace: chain product of per-site diagonal-slice sums."""
-    d = a.d
-    diag = [fuse_index(i, i, d) for i in range(d)]
-    v = np.ones((1, 1), dtype=complex)
+def _trace_chain(a: TTTensor, diag, dtype):
+    """Chain product of the cores' sums over the diagonal positions."""
+    v = np.ones((1, 1), dtype=dtype)
     for core in a.cores:
         v = v @ core[:, diag, :].sum(axis=1)
-    return complex(v[0, 0])
+    return v[0, 0]
+
+
+def tt_trace(a: TTTensor) -> complex:
+    """Operator trace of a fused TT."""
+    diag = [fuse_index(i, i, a.d) for i in range(a.d)]
+    return complex(_trace_chain(a, diag, complex))
+
+
+def tt_coordinate_trace(x: TTTensor) -> float:
+    """Operator trace of a TT in hermitian_basis coordinates."""
+    return _trace_chain(x, slice(x.d), float)
 
 
 # ---------------------------------------------------------------------------

@@ -473,7 +473,65 @@ def test_provenance_hashes_input_contents(workspace, varied):
     assert hashes[0] == hashes[1] != hashes[2]
 
 
-_MEASURE_MODES = [[], ["--exact"], ["--sampler", "enumerate"]]
+def _estimate_hash(folder, record, **options) -> str:
+    """input_sha256 of an estimate run in ``folder``, with the
+    --option value pairs given."""
+    folder.mkdir()
+    args = ["estimate", "--record", record, "--out", folder / "out"]
+    for name, value in options.items():
+        args += ["--" + name.replace("_", "-"), value]
+    assert run(args) == 0
+    payload = json.loads((folder / "out.json").read_text())
+    return payload["provenance"]["input_sha256"]
+
+
+@pytest.mark.parametrize("varied", ["config", "init_state", "truth"])
+def test_estimate_hash_follows_each_input_file(workspace, varied):
+    # equal bytes at two paths give one hash; other bytes, or no file,
+    # give another
+    state = _generate(workspace)
+    record = workspace / "rec.json"
+    assert run(["measure", "--state", state, "--shots", 200,
+                "--out", record]) == 0
+    cfg = workspace / "cfg.json"
+    cfg.write_text(json.dumps({"ranks": 2, "max_iters": 1}))
+    source = {"config": cfg, "init_state": state, "truth": state}[varied]
+    data = source.read_bytes()
+    edited = data.replace(b"\n", b" ", 1) if b"\n" in data else data + b" "
+    options = {"config": cfg}
+    hashes = []
+    for name, raw in (("a", data), ("b", data), ("c", edited), ("d", None)):
+        opts = dict(options)
+        if raw is None:
+            opts.pop(varied, None)
+        else:
+            path = workspace / f"{name}-{source.name}"
+            path.write_bytes(raw)
+            opts[varied] = path
+        hashes.append(_estimate_hash(workspace / name, record, **opts))
+    assert hashes[0] == hashes[1]
+    assert len(set(hashes[1:])) == 3
+
+
+@pytest.mark.parametrize("option, values", [
+    ("algorithm", ["pgd", "psgd"]), ("backend", ["tt", "dense"])])
+def test_estimate_hash_follows_each_flag(workspace, option, values):
+    state = _generate(workspace)
+    record = workspace / "rec.json"
+    assert run(["measure", "--state", state, "--shots", 200,
+                "--out", record]) == 0
+    cfg = workspace / "cfg.json"
+    cfg.write_text(json.dumps({"ranks": 2, "max_iters": 1,
+                               "max_epochs": 1}))
+    first, second = (_estimate_hash(workspace / value, record, config=cfg,
+                                    **{option: value})
+                     for value in values)
+    assert first != second
+    assert _estimate_hash(workspace / "again", record, config=cfg,
+                          **{option: values[0]}) == first
+
+
+_MEASURE_MODES = [[],["--exact"], ["--sampler", "enumerate"]]
 _NOT_NUMBER = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3),
     st.lists(st.floats(), max_size=2),

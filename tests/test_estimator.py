@@ -10,9 +10,6 @@ from mpoqst import estimator, tt
 from mpoqst.estimator import (
     STEP_PRESETS,
     EstimatorConfig,
-    _empirical_coordinates,
-    _trie_cores,
-    _trie_grams,
     _zero_outcome_filler,
     empirical_operator,
     loss,
@@ -32,6 +29,8 @@ from mpoqst.povm import (
     LocalPOVM,
     ProductPOVM,
     _outcome_trie,
+    _trie_grams,
+    _trie_tt,
     dense_from_product,
     iter_outcomes,
     outcome_amplitudes,
@@ -110,7 +109,7 @@ def test_outcome_sum_matches_kron_sum():
 
 
 def _trie_cores_by_tuple_sets(outcomes, weights, povm, local):
-    """_trie_cores as it was built from Python sets of outcome-tuple
+    """_trie_tt's cores as they were built from Python sets of outcome-tuple
     slices, one outcome at a time."""
     n, dd = povm.n, povm.d * povm.d
     pairs = sorted(zip((tuple(o) for o in outcomes), weights))
@@ -155,8 +154,8 @@ def test_trie_cores_match_tuple_set_builder(n):
     rec = sample_sequential(povm, _mpdo(n, seed=80 + n), 3000, seed=81)
     for local in ([site.hermitian_coordinates() for site in povm.sites],
                   [site.fused() for site in povm.sites]):
-        got = _trie_cores(_outcome_trie(rec.outcomes, rec.p_hat, povm),
-                          local)
+        got = _trie_tt(_outcome_trie(rec.outcomes, rec.p_hat, povm,
+                                     local)).cores
         want = _trie_cores_by_tuple_sets(
             list(map(tuple, rec.outcomes.tolist())), list(rec.p_hat), povm,
             local)
@@ -176,7 +175,7 @@ def test_trie_cores_match_tuple_set_builder_on_batches(n, batch):
     outcomes = outcomes[rng.permutation(len(outcomes))]
     coeffs = rng.standard_normal(len(outcomes))
     local = [site.fused() for site in povm.sites]
-    got = _trie_cores(_outcome_trie(outcomes, coeffs, povm), local)
+    got = _trie_tt(_outcome_trie(outcomes, coeffs, povm, local)).cores
     want = _trie_cores_by_tuple_sets(outcomes.tolist(), coeffs, povm, local)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -282,6 +281,21 @@ def test_empirical_operator_rejects_non_hermitian_element():
         empirical_operator(rec, povm)
 
 
+@pytest.mark.parametrize("init", ["random", "spectral"])
+def test_dense_pgd_rejects_non_hermitian_element(init):
+    # every path reads the record's tree in Hermitian coordinates, the
+    # dense backend too
+    els = list(sic_qubit().elements)
+    els[2] = els[2] + np.array([[1e-9j, 0], [0, 0]])
+    povm = ProductPOVM(sites=(LocalPOVM(tuple(els), d=2),) * 2)
+    rec = OutcomeRecord(counts={(1, 2): 3, (3, 4): 1}, m_shots=4,
+                        povm_id="", seed=0)
+    config = EstimatorConfig(ranks=2, init=init, max_iters=2,
+                             backend="dense")
+    with pytest.raises(ValueError, match="not Hermitian"):
+        pgd(rec, povm, config)
+
+
 def _mixed_povm_and_record(n):
     # Pauli-6 on every other site: bonds pass their structural caps
     povm = ProductPOVM(sites=tuple(_pauli6() if l % 2 else sic_qubit()
@@ -335,29 +349,27 @@ def test_trie_grams_match_dense_oracle(case):
     # the Grams of E read off the trie against tt._right_grams(E, E),
     # which multiplies E's dense cores
     povm, rec = case()
-    emp, grams = _empirical_coordinates(
-        _outcome_trie(rec.outcomes, rec.p_hat, povm), povm)
-    _assert_grams_match(grams, _right_grams(emp, emp))
+    trie = _outcome_trie(rec.outcomes, rec.p_hat, povm,
+                         povm.hermitian_coordinates())
+    emp = _trie_tt(trie)
+    _assert_grams_match(_trie_grams(trie), _right_grams(emp, emp))
 
 
-@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_trie_grams_of_complex_cores_match_dense_oracle(n):
     # the fused (complex) rows of a PSGD batch, weights of both signs
     povm = ProductPOVM.local_sic(n)
     rng = np.random.default_rng(n)
     outcomes = rng.integers(1, 5, size=(40, n))
     coeffs = rng.standard_normal(len(outcomes))
-    trie = _outcome_trie(outcomes, coeffs, povm)
-    local = povm.fused()
-    _assert_grams_match(_trie_grams(trie, local),
-                        _dense_core_grams(trie, local))
+    trie = _outcome_trie(outcomes, coeffs, povm, povm.fused())
+    _assert_grams_match(_trie_grams(trie), _dense_core_grams(trie))
 
 
-def _dense_core_grams(trie, local):
+def _dense_core_grams(trie):
     """E's Grams as formed before the trie rule: two matrix products per
     bond over E's dense cores."""
-    d = math.isqrt(local[0].shape[1])
-    e = TTTensor(tuple(_trie_cores(trie, local)), d=d)
+    e = _trie_tt(trie)
     return _right_grams(e, e)
 
 

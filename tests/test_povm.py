@@ -510,9 +510,9 @@ def test_trie_amplitudes_match_the_per_outcome_loop(kind):
     assert np.abs(amps - loop).max() <= 1e-14 * scale
     if kind != "complex-n5":
         # the estimator's form: real coordinates, rows in the tree's order
-        trie = _outcome_trie(outcomes, None, povm)
-        coords = _trie_amplitudes(trie, tt_to_hermitian_coordinates(state),
-                                  povm.hermitian_coordinates())
+        trie = _outcome_trie(outcomes, None, povm,
+                             povm.hermitian_coordinates())
+        coords = _trie_amplitudes(trie, tt_to_hermitian_coordinates(state))
         assert coords.dtype == np.float64
         assert np.abs(coords - loop[trie.order]).max() <= 1e-14 * scale
 
