@@ -27,9 +27,9 @@ orthogonalized: each step rounds rho - mu Phi(rho) + mu E from its Grams
 with ``tt_round_sum``, one eigenproblem of size r d^2 per bond at O(n
 d^2 r R^2) per step instead of the O(n d^2 R^3) of rounding the whole
 sum.  Each PSGD batch step rounds rho - mu grad the same way, from the
-TT and Grams of the batch's own prefix tree.  Traces come from
-tt.tt_coordinate_trace: this module reads no tree id and no coordinate
-position.
+diagonal-core TT and Grams of the batch's own rows (povm._rows_tt).
+Traces come from tt.tt_coordinate_trace: this module reads no tree id
+and no coordinate position.
 
 One loop (``_descend``) runs PGD on MPOs, PGD on dense matrices (the
 reference backend for small n) and PSGD.  It owns the step schedule,
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -51,6 +51,8 @@ from .povm import (
     ProductPOVM,
     _outcome_indices,
     _outcome_trie,
+    _row_amplitudes,
+    _rows_tt,
     _Trie,
     _trie_amplitudes,
     _trie_grams,
@@ -317,8 +319,8 @@ def _project(x: TTTensor, ranks, round_tol: float = None,
              data: TTTensor = None, grams: list = None) -> TTTensor:
     """project_mpo in coordinates, of x plus ``data`` when given, rounded
     by tt_round_sum from data's right Gram matrices ``grams``.  The data
-    is a scaled E or a scaled PSGD batch gradient, the _trie_tt of a
-    prefix tree, and grams that tree's _trie_grams."""
+    is a scaled E, with the _trie_grams of the record's prefix tree, or a
+    scaled PSGD batch gradient, with the Grams that _rows_tt returns."""
     capped = cap_ranks(ranks, x.n, x.d)
     if data is None:
         x = tt_round(x, target_ranks=capped)
@@ -627,10 +629,10 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
     """Stochastic variant: each epoch assembles a subset of N outcomes
     containing every nonzero-count outcome plus seeded zero-count filler,
     then runs floor(N/B) iterations on sequential batches of B, each using
-    the partial gradient sum_{k in batch} (<A_k, rho> - p_hat_k) A_k; the
-    batch's amplitudes, its gradient's cores and their right Gram
-    matrices read one prefix tree of the batch, and each step rounds
-    rho - mu grad from those Grams, as PGD rounds against E's.
+    the partial gradient sum_{k in batch} (<A_k, rho> - p_hat_k) A_k, a
+    TT of rank B with diagonal cores whose right Gram matrices are
+    Hadamard products; each step rounds rho - mu grad from those Grams,
+    as PGD rounds against E's.
 
     The nonzero outcomes are deliberately oversampled relative to a
     uniform pass over all K outcomes, and the batch gradient is used
@@ -646,8 +648,8 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
 
 def _psgd(record, trie, povm, config, ranks):
     """PSGD's epoch sizing, its loss (the TT paths' _loss) and its epochs
-    of batch steps.  Each batch's prefix tree gives its amplitudes, its
-    gradient's cores and their right Gram matrices, from which
+    of batch steps.  Each batch's rows give its amplitudes, its
+    gradient and that gradient's right Gram matrices, from which
     _project rounds rho - mu grad by tt_round_sum."""
     n, d = povm.n, povm.d
     observed, p_obs = record.outcomes, record.p_hat
@@ -667,19 +669,16 @@ def _psgd(record, trie, povm, config, ranks):
     def step(rho, epoch, mu, _channel):
         rng = _stream(config.init_seed, 0xE0C + epoch)
         filler = _zero_outcome_filler(povm, observed, n_epoch - n_obs, rng)
-        subset = np.concatenate([observed, filler])
+        subset = _outcome_indices(povm, np.concatenate([observed, filler]))
         subset_p = np.concatenate([p_obs, np.zeros(len(filler))])
         order = rng.permutation(len(subset))
         for it in range(len(subset) // batch):
             pick = order[it * batch:(it + 1) * batch]
-            part = _outcome_trie(subset[pick], subset_p[pick], povm,
-                                 trie.local)
-            # weights <A_k, rho> - p_hat_k, in the tree's row order
-            part = replace(part, weights=_trie_amplitudes(part, rho)
-                           - part.weights)
+            rows = subset[pick]
+            amps = _row_amplitudes(rows, trie.local, rho)
+            grad, grams = _rows_tt(rows, amps - subset_p[pick], trie.local)
             rho = _project(rho, ranks, config.tt_round_tol,
-                           data=tt_scale(_trie_tt(part), -mu),
-                           grams=_trie_grams(part))
+                           data=tt_scale(grad, -mu), grams=grams)
             yield rho
 
     loss_of = partial(_loss, trie=trie, povm=povm)

@@ -36,7 +36,8 @@ class ExperimentSpec:
     sampling.MAX_SHOTS), as must be seeds and purity; every (n, rank)
     truth must be a valid MPDOGenConfig draw; base_seed is an integer,
     record_gamma a boolean and estimator_overrides an object of
-    EstimatorConfig fields other than init_state (ValueError otherwise)."""
+    EstimatorConfig fields other than init_state, ranks and init (set
+    per cell), with no dense backend for psgd (ValueError otherwise)."""
 
     n_values: list
     m_values: list = field(default_factory=lambda: [3000])
@@ -77,6 +78,14 @@ class ExperimentSpec:
         for alg in self.algorithms:
             if alg not in ("pgd", "psgd"):
                 raise ValueError(f"unknown algorithm {alg!r}")
+        for name, axis in (("ranks", "rank_values"), ("init", "init_modes")):
+            if name in self.estimator_overrides:
+                raise ValueError(f"estimator_overrides cannot set {name}: "
+                                 f"{axis} sets it per cell")
+        if (self.estimator_overrides.get("backend") == "dense"
+                and "psgd" in self.algorithms):
+            raise ValueError("estimator_overrides sets the dense backend, "
+                             "but psgd runs on the tt backend only")
         for mode in self.init_modes:
             if mode not in ("random", "spectral"):
                 raise ValueError(f"unknown init mode {mode!r}")

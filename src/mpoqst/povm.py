@@ -6,7 +6,8 @@ product POVM on n sites, an outcome is (i_1, ..., i_n) with each i_l in
 the Born rule p_k = <A_k, rho> = trace(A_k rho).
 
 The outcome prefix tree (_outcome_trie) carries the rows it is read in;
-only this module's _trie_* readers read its ids.
+only this module's _trie_* readers read its ids.  A short outcome list
+(a PSGD batch) goes row by row instead: _rows_tt and _row_amplitudes.
 """
 
 from __future__ import annotations
@@ -576,7 +577,7 @@ def _outcome_indices(povm: ProductPOVM, outcomes, length=None) -> np.ndarray:
 class _Trie:
     """The prefix tree of an outcome list, as group ids over its
     lexicographically sorted (U, n) rows of 0-based indices: rows and
-    weights (None if not given) are the input's taken in ``order``.
+    weights are the input's, sorted together.
     ``bridge`` is the 1-based site where prefixes meet suffixes.
     prefix[l] holds each row's id of its length-l prefix (l < bridge) and
     first[l] the first row of each distinct prefix, in id order.
@@ -586,7 +587,6 @@ class _Trie:
     or hermitian_coordinates(), that every reader contracts."""
 
     rows: np.ndarray
-    order: np.ndarray
     weights: np.ndarray
     bridge: int
     prefix: list
@@ -624,9 +624,8 @@ def _outcome_trie(outcomes, weights, povm: ProductPOVM, local: list) -> _Trie:
         suffix[c] = np.empty(u, dtype=np.intp)
         suffix[c][by] = np.cumsum(new) - 1
         rep[c] = by[new]
-    weights = None if weights is None else np.asarray(weights)[order]
-    return _Trie(rows, order, weights, bridge, prefix, first, suffix, rep,
-                 local)
+    return _Trie(rows, np.asarray(weights)[order], bridge, prefix, first,
+                 suffix, rep, local)
 
 
 def _trie_amplitudes(trie: _Trie, state: TTTensor) -> np.ndarray:
@@ -701,9 +700,9 @@ def _trie_tt(trie: _Trie) -> TTTensor:
 
 
 def _trie_grams(trie: _Trie) -> list:
-    """The right Gram matrices of _trie_tt(trie) (E, or a PSGD batch
-    gradient), equal to tt._right_grams of it with itself, but read off
-    the trie's ids with no product over those mostly-zero cores.
+    """The right Gram matrices of _trie_tt(trie) (E), equal to
+    tt._right_grams of it with itself, but read off the trie's ids with
+    no product over those mostly-zero cores.
 
     With Gv = V V^H for site l's rows V = trie.local[l] and G the Gram
     right of a core:
@@ -755,15 +754,46 @@ def _trie_grams(trie: _Trie) -> list:
     return grams[::-1]
 
 
+def _rows_tt(rows: np.ndarray, weights, local: list) -> tuple:
+    """(G, grams): G = sum_k w_k v_{i_1(k)} x ... x v_{i_n(k)} for the
+    (B, n) 0-based outcome rows, v = local[l], as a rank-B TT with
+    diagonal cores (Oseledets, SIAM J. Sci. Comput. 33(5), 2011), core 1
+    weighted and summed over its left index and core n over its right
+    one, and its right Gram matrices, as tt._right_grams(G, G) forms them:
+    bond k carries row k's suffix alone, so each Gram is the Hadamard
+    product of the row Grams V_s V_s^H right of it.  For a short outcome
+    list that shares few prefixes; a record goes through its tree."""
+    diag, cores, grams = np.arange(len(rows)), [], [np.ones((1, 1))]
+    for v, col in zip(local, rows.T):
+        cores.append(np.zeros((len(diag), v.shape[1], len(diag)), v.dtype))
+        cores[-1][diag, :, diag] = v[col]
+    for v, col in zip(local[:0:-1], rows.T[:0:-1]):
+        grams.append(grams[-1] * (v[col] @ v[col].conj().T))
+    cores[0] = np.tensordot(weights, cores[0], axes=1)[None]
+    cores[-1] = cores[-1].sum(axis=2, keepdims=True)
+    return TTTensor(tuple(cores), d=isqrt(local[0].shape[1])), grams[::-1]
+
+
+def _row_amplitudes(rows: np.ndarray, local: list, state: TTTensor):
+    """Raw <A_k, state> for the (B, n) 0-based outcome rows, in their
+    order, with element rows b_i = local[l]: per row, a left vector times
+    the transfer sum_s conj(b_i(s)) core[:, s, :] of each site."""
+    left = np.ones((len(rows), 1))
+    for v, col, core in zip(local, rows.T, state.cores):
+        ext = (left @ core.reshape(len(core), -1)).reshape(
+            len(rows), v.shape[1], core.shape[2])
+        left = np.einsum("bs,bsq->bq", v[col].conj(), ext)
+    return left[:, 0]
+
+
 def outcome_amplitudes(povm: ProductPOVM, state: TTTensor,
                        outcomes) -> np.ndarray:
     """Raw <A_k, state> for a (B, n) batch of 1-based outcomes, as a (B,)
     vector (no clamping; may be negative or complex-residued for
-    non-Hermitian iterates): _trie_amplitudes over the batch's prefix
-    tree with the fused() rows, put back in batch order."""
+    non-Hermitian iterates): _row_amplitudes with the fused() rows."""
     _check_shapes(povm, state)
-    trie = _outcome_trie(outcomes, None, povm, povm.fused())
-    return _trie_amplitudes(trie, state)[np.argsort(trie.order)]
+    return _row_amplitudes(_outcome_indices(povm, outcomes), povm.fused(),
+                           state)
 
 
 def outcome_amplitude(povm: ProductPOVM, state: TTTensor, outcome) -> complex:

@@ -1363,6 +1363,38 @@ def test_experiment_rejects_m_over_the_cap_before_any_cell(workspace):
     assert not (workspace / "out").exists()  # no cell, no results.csv
 
 
+@pytest.mark.parametrize("override, axis", [
+    ({"init": "spectral", "max_iters": 3}, "init_modes"),
+    ({"ranks": 4}, "rank_values")])
+def test_experiment_rejects_an_override_of_a_cell_axis(workspace, override,
+                                                       axis):
+    # the override was applied after the cell's own rank, init and preset:
+    # a row labelled init=random ran the spectral start, and a rank-1 row
+    # fit at rank 4
+    spec = workspace / "spec.json"
+    spec.write_text(json.dumps({**_SPEC, "rank_values": [1],
+                                "init_modes": ["random"],
+                                "estimator_overrides": override}))
+    code, err = _cli(["experiment", "--spec", spec, "--out", "out"])
+    assert code == 1
+    assert err.startswith("input error:") and axis in err
+    assert not (workspace / "out").exists()
+
+
+def test_experiment_rejects_a_dense_backend_for_psgd(workspace):
+    # the pgd cell ran and was written, then the psgd cell exited 1
+    spec = workspace / "spec.json"
+    spec.write_text(json.dumps({**_SPEC, "algorithms": ["pgd", "psgd"],
+                                "estimator_overrides": {"backend": "dense"}}))
+    code, err = _cli(["experiment", "--spec", spec, "--out", "out"])
+    assert code == 1
+    assert err.startswith("input error:") and "psgd" in err
+    assert not (workspace / "out").exists()
+    # without psgd the dense backend is a valid override
+    experiment.ExperimentSpec(n_values=[2], algorithms=["pgd"],
+                              estimator_overrides={"backend": "dense"})
+
+
 def test_measure_out_of_memory_exits_1(workspace, monkeypatch):
     # --shots 10**12 ended in numpy's _ArrayMemoryError traceback; the
     # sampler is replaced, since hosts differ in their overcommit settings

@@ -454,6 +454,28 @@ def test_psgd_steps_call_no_tt_add_or_tt_round(init, monkeypatch):
     assert psgd(rec, povm, config).iterations_run > 0
 
 
+@pytest.mark.parametrize("init", ["random", "spectral"])
+def test_psgd_batches_build_no_prefix_tree(init, monkeypatch):
+    # each batch gradient is the diagonal-core TT of its own rows: once the
+    # start is built, no tree is built and no tree's TT or Grams are read
+    start = estimator._initial_state
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a prefix tree used after the start")
+
+    def guarded_start(*args, **kwargs):
+        state = start(*args, **kwargs)
+        for name in ("_outcome_trie", "_trie_tt", "_trie_grams"):
+            monkeypatch.setattr(estimator, name, refuse)
+        return state
+
+    monkeypatch.setattr(estimator, "_initial_state", guarded_start)
+    povm, rec = _povm_and_record("sic", 5)
+    config = EstimatorConfig(ranks=2, init=init, init_seed=3, max_epochs=2,
+                             **STEP_PRESETS[f"psgd-{init}"])
+    assert psgd(rec, povm, config).iterations_run > 0
+
+
 def test_no_inner_product_against_e_on_the_pgd_path(monkeypatch):
     # the loss's cross term comes from the record's prefix tree: the only
     # tt_inner left is <rho, Phi(rho)>, over rank-r iterates

@@ -35,6 +35,8 @@ from mpoqst.povm import (
     wh_sic_from_fiducial,
     _outcome_trie,
     _right_environments,
+    _row_amplitudes,
+    _rows_tt,
     _site_transfers,
     _trie_amplitudes,
 )
@@ -47,8 +49,10 @@ from mpoqst.states import (
 )
 from mpoqst.tt import (
     DenseOperator,
+    _right_grams,
     hermitian_basis,
     random_tt,
+    tt_from_hermitian_coordinates,
     tt_to_dense,
     tt_to_hermitian_coordinates,
 )
@@ -510,11 +514,83 @@ def test_trie_amplitudes_match_the_per_outcome_loop(kind):
     assert np.abs(amps - loop).max() <= 1e-14 * scale
     if kind != "complex-n5":
         # the estimator's form: real coordinates, rows in the tree's order
-        trie = _outcome_trie(outcomes, None, povm,
+        trie = _outcome_trie(outcomes, np.ones(len(outcomes)), povm,
                              povm.hermitian_coordinates())
         coords = _trie_amplitudes(trie, tt_to_hermitian_coordinates(state))
         assert coords.dtype == np.float64
-        assert np.abs(coords - loop[trie.order]).max() <= 1e-14 * scale
+        order = np.lexsort(outcomes.T[::-1])
+        assert np.abs(coords - loop[order]).max() <= 1e-14 * scale
+
+
+# ---------------------------------------------------------------------------
+# per-row kernels of short outcome lists, against dense oracles
+
+
+def _row_povm(kind, n) -> ProductPOVM:
+    if kind == "pauli6":  # k_loc 6 > d^2 on every other site
+        return ProductPOVM(sites=tuple(_pauli6() if l % 2 == 0 else sic_qubit()
+                                       for l in range(n)))
+    if kind == "qutrit":
+        return ProductPOVM(sites=(LocalPOVM(wh_sic_from_fiducial(3).elements,
+                                            d=3),) * n)
+    return ProductPOVM.local_sic(n)
+
+
+@st.composite
+def _row_cases(draw):
+    """(povm, local, (B, n) 0-based rows, weights): SIC, pauli6 or qutrit
+    sites at n = 1..5, fused or coordinate rows, a few distinct rows
+    drawn with repetition, weights that may be zero or negative."""
+    kind = draw(st.sampled_from(["sic", "pauli6", "qutrit"]))
+    povm = _row_povm(kind, draw(st.integers(1, 5)))
+    local = draw(st.sampled_from([povm.fused(), povm.hermitian_coordinates()]))
+    row = st.tuples(*(st.integers(0, k - 1) for k in povm.k_locs))
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    weight = st.one_of(st.just(0.0), st.floats(-2, 2, allow_nan=False))
+    weights = draw(st.lists(weight, min_size=len(picks),
+                            max_size=len(picks)))
+    return povm, local, np.array(picks, dtype=np.intp), np.array(weights)
+
+
+def _dense_element(povm, row) -> np.ndarray:
+    m = np.ones((1, 1))
+    for site, i in zip(povm.sites, row):
+        m = np.kron(m, site.elements[i])
+    return m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_row_cases())
+def test_rows_tt_is_the_dense_sum_and_its_grams_the_walk(case):
+    povm, local, rows, weights = case
+    grad, grams = _rows_tt(rows, weights, local)
+    assert grad.n == povm.n and grad.cores[0].dtype == local[0].dtype
+    walk = _right_grams(grad, grad)
+    assert len(grams) == len(walk)
+    for g, w in zip(grams, walk):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+    if local[0].dtype == np.float64:  # coordinate rows
+        grad = tt_from_hermitian_coordinates(grad)
+    want = sum(w * _dense_element(povm, r) for w, r in zip(weights, rows))
+    got = tt_to_dense(grad).matrix
+    assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_row_cases(), seed=st.integers(0, 10 ** 6))
+def test_row_amplitudes_match_the_dense_map(case, seed):
+    povm, local, rows, _ = case
+    state = random_mpdo(MPDOGenConfig(n=povm.n, kappa=2, purity=3,
+                                      seed=seed, d=povm.d))
+    probs = measure_map_dense(povm, tt_to_dense(state))
+    want = probs[np.ravel_multi_index(rows.T, povm.k_locs)]
+    coords = local[0].dtype == np.float64
+    got = _row_amplitudes(
+        rows, local, tt_to_hermitian_coordinates(state) if coords else state)
+    assert got.shape == (len(rows),)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(probs).max()
 
 
 def test_fused_is_built_once_and_read_only():
