@@ -5,9 +5,10 @@ product POVM on n sites, an outcome is (i_1, ..., i_n) with each i_l in
 1..K_loc; dense POVMs use single-entry tuples (k,).  Probabilities follow
 the Born rule p_k = <A_k, rho> = trace(A_k rho).
 
-The outcome prefix tree (_outcome_trie) carries the rows it is read in;
-only this module's _trie_* readers read its ids.  A short outcome list
-(a PSGD batch) goes row by row instead: _rows_tt and _row_amplitudes.
+The outcome prefix tree (_outcome_trie) holds the nonzero entries of
+the cores of E = sum_k w_k A_k and the rows they are read in; only this
+module's _trie_* readers read them.  A short outcome list (a PSGD
+batch) goes row by row instead: _rows_tt and _row_amplitudes.
 """
 
 from __future__ import annotations
@@ -575,179 +576,158 @@ def _outcome_indices(povm: ProductPOVM, outcomes, length=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Trie:
-    """The prefix tree of an outcome list, as group ids over its
-    lexicographically sorted (U, n) rows of 0-based indices: rows and
-    weights are the input's, sorted together.
-    ``bridge`` is the 1-based site where prefixes meet suffixes.
-    prefix[l] holds each row's id of its length-l prefix (l < bridge) and
-    first[l] the first row of each distinct prefix, in id order.
-    suffix[c] holds each row's id of its suffix from column c
-    (c >= bridge) and rep[c] one row of each distinct suffix, in id
-    order.  local[l] holds site l's (k_loc, d*d) element rows, fused()
-    or hermitian_coordinates(), that every reader contracts."""
+    """The prefix tree of an outcome list as the nonzero entries of the
+    cores of its exact MPO E (see _trie_tt): entry e of core l joins left
+    bond index lefts[l][e] to right bond index rights[l][e] through row
+    labels[l][e] of local[l].  Left of core ``bridge`` a bond index is a
+    distinct prefix, numbered in sorted order, and an entry a prefix with
+    its parent; right of it a bond index is a distinct suffix and an
+    entry a suffix with its child.  At the bridge an entry is an outcome,
+    in lexicographic order, of weight weights[e].  local[l] holds site
+    l's (k_loc, d*d) element rows, fused() or hermitian_coordinates(),
+    that every reader contracts."""
 
-    rows: np.ndarray
     weights: np.ndarray
     bridge: int
-    prefix: list
-    first: list
-    suffix: dict
-    rep: dict
+    lefts: list
+    labels: list
+    rights: list
     local: list
 
 
 def _outcome_trie(outcomes, weights, povm: ProductPOVM, local: list) -> _Trie:
-    """The one id pass over the sorted outcomes that the _trie_* readers
-    read, in the element rows ``local`` (see _Trie).  A prefix id is the
-    number of prefix changes down the sorted rows, so the ids of each
-    length are sorted; the suffix ids are ranked from the right, each
-    column sorted together with the ids of the suffix after it."""
+    """The entries of E's cores (see _Trie) for a list of outcomes and
+    their (U,) weights, in the element rows ``local``; ValueError unless
+    there is one weight per outcome.  A prefix id is the number of prefix
+    changes down the lexicographically sorted rows; a suffix id ranks
+    the suffix's (label, child id) pair, from the right."""
     n = povm.n
     rows = _outcome_indices(povm, outcomes)
+    weights = np.asarray(weights)
+    if weights.shape != (len(rows),):
+        raise ValueError(
+            f"weights of shape {weights.shape} for {len(rows)} outcomes")
     order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    u = len(rows)
-    bridge = (n + 1) // 2
-    prefix, first = [np.zeros(u, dtype=np.intp)], [np.zeros(1, np.intp)]
-    changed = np.zeros(u, dtype=bool)
-    for l in range(1, bridge):
-        changed[1:] |= rows[1:, l - 1] != rows[:-1, l - 1]
-        prefix.append(np.cumsum(changed))
-        first.append(np.flatnonzero(np.diff(prefix[-1], prepend=-1)))
-    suffix = {n: np.zeros(u, dtype=np.intp)}
-    rep = {n: np.zeros(1, dtype=np.intp)}
-    for c in range(n - 1, bridge - 1, -1):
-        by = np.lexsort((suffix[c + 1], rows[:, c]))
-        new = np.ones(u, dtype=bool)
-        new[1:] = ((rows[by[1:], c] != rows[by[:-1], c])
-                   | (suffix[c + 1][by[1:]] != suffix[c + 1][by[:-1]]))
-        suffix[c] = np.empty(u, dtype=np.intp)
-        suffix[c][by] = np.cumsum(new) - 1
-        rep[c] = by[new]
-    return _Trie(rows, np.asarray(weights)[order], bridge, prefix, first,
-                 suffix, rep, local)
+    rows, u, bridge = rows[order], len(rows), (n - 1) // 2
+    lefts, labels, rights = [None] * n, [None] * n, [None] * n
+    ids, changed = np.zeros(u, dtype=np.intp), np.arange(u) == 0
+    for l in range(bridge):  # ids: each row's prefix up to site l
+        changed[1:] |= rows[1:, l] != rows[:-1, l]
+        take = np.flatnonzero(changed)  # the first row of each prefix
+        lefts[l], labels[l] = ids[take], rows[take, l]
+        rights[l], ids = np.arange(len(take)), np.cumsum(changed) - 1
+    lefts[bridge], labels[bridge] = ids, rows[:, bridge]
+    ids = np.zeros(u, dtype=np.intp)
+    for l in range(n - 1, bridge, -1):  # ids: each row's suffix from site l
+        _, take, parent = np.unique(rows[:, l] * u + ids, return_index=True,
+                                    return_inverse=True)
+        lefts[l], labels[l], rights[l] = parent[take], rows[take, l], ids[take]
+        ids = parent
+    rights[bridge] = ids
+    return _Trie(weights[order], bridge, lefts, labels, rights, local)
 
 
 def _trie_amplitudes(trie: _Trie, state: TTTensor) -> np.ndarray:
-    """Raw <A_k, state> for every row k of the trie, in its order, with
-    the tree's element rows b_i = trie.local[l] in the basis of the
-    state's legs.
-
-    One left vector per distinct prefix, its parent's times one transfer
-    matrix E_i = sum_s conj(b_i(s)) core[:, s, :], and one right vector
-    per distinct suffix, E_i times its child's, meet at the bridge site
-    in one dot product per row.  Each level extends all its vectors by
-    all k_loc transfers in one matrix product and keeps the observed
-    ones: O(k d^2 r^2) per site and O(k r^2) per distinct prefix or
-    suffix, O(r) per row."""
-    rows, bridge, local = trie.rows, trie.bridge, trie.local
+    """Raw <A_k, state> for every outcome k of the trie, in its order,
+    with the element rows b_i = trie.local[l] in the basis of the state's
+    legs.  One left vector per distinct prefix, its parent's times one
+    transfer matrix E_i = sum_s conj(b_i(s)) core[:, s, :], and one right
+    vector per distinct suffix, E_i times its child's, meet at the bridge
+    in one dot product per outcome.  Each core extends all its vectors by
+    all k_loc transfers in one matrix product and keeps row
+    left * k_loc + label (right * k_loc + label) of each entry:
+    O(k d^2 r^2) per site, O(k r^2) per prefix or suffix, O(r) per
+    outcome."""
+    bridge, local = trie.bridge, trie.local
     left = np.ones((1, 1))  # one row per distinct prefix
-    for l in range(1, bridge + 1):
-        v, core = local[l - 1], state.cores[l - 1]
+    for l in range(bridge + 1):
+        v, core = local[l], state.cores[l]
         # row p * k + i: prefix p extended by outcome i
         ext = (left @ (v.conj() @ core).reshape(len(core), -1)).reshape(
             -1, core.shape[2])
-        take = trie.first[l] if l < bridge else slice(None)
-        left = np.take(ext, trie.prefix[l - 1][take] * len(v)
-                       + rows[take, l - 1], axis=0)
+        left = np.take(ext, trie.lefts[l] * len(v) + trie.labels[l], axis=0)
     right = np.ones((1, 1))  # one row per distinct suffix
-    for c in range(state.n - 1, bridge - 1, -1):
-        v, core, take = local[c], state.cores[c], trie.rep[c]
+    for l in range(state.n - 1, bridge, -1):
+        v, core = local[l], state.cores[l]
         # row s * k + i: suffix s extended by outcome i
         ext = (right @ (v.conj() @ core).transpose(2, 1, 0).reshape(
             core.shape[2], -1)).reshape(-1, len(core))
-        right = np.take(ext, trie.suffix[c + 1][take] * len(v)
-                        + rows[take, c], axis=0)
+        right = np.take(ext, trie.rights[l] * len(v) + trie.labels[l],
+                        axis=0)
     return np.einsum("ur,ur->u", left,
-                     np.take(right, trie.suffix[bridge], axis=0))
+                     np.take(right, trie.rights[bridge], axis=0))
 
 
 def _trie_tt(trie: _Trie) -> TTTensor:
     """The exact MPO sum_k w_k v_{i_1(k)} x ... x v_{i_n(k)} of the
     trie's outcomes and weights, of the dtype of its rows trie.local.
-
-    Bond bases are the distinct outcome prefixes left of the bridge site
-    and the distinct suffixes right of it, so the representation is exact
-    with bond dimensions min(#prefixes, #suffixes) and never grows with
-    the number of terms beyond the enumeration caps.  A prefix core has
-    one parent row and one coordinate per column, a suffix core one
-    coordinate and one child column per row; both are filled by scatter
-    from the trie's ids, the bridge core by accumulation in sorted
-    outcome order.  ValueError for a trie with no rows.
-    """
-    rows, bridge, local = trie.rows, trie.bridge, trie.local
-    if not len(rows):
+    Each core is one scatter of its entries' rows v[label] to
+    (left, :, right), weighted and summed at the bridge, where outcomes
+    share bond indices.  The bond bases, distinct prefixes left of the
+    bridge and distinct suffixes right of it, never grow with the number
+    of terms beyond the enumeration caps.  ValueError for a trie with no
+    outcomes."""
+    local, weights, bridge = trie.local, trie.weights, trie.bridge
+    if not len(weights):
         raise ValueError("need at least one outcome")
-    prefix, first, suffix, rep = trie.prefix, trie.first, trie.suffix, trie.rep
     dd, dtype = local[0].shape[1], local[0].dtype
+    # a prefix core has one entry per right index, a suffix core one per left
+    bonds = [1, *map(len, trie.labels[:bridge]),
+             *map(len, trie.labels[bridge + 1:]), 1]
     cores = []
-    for l in range(1, rows.shape[1] + 1):
-        vec, col = local[l - 1], rows[:, l - 1]
-        if l < bridge:
-            take = first[l]
-            core = np.zeros((len(first[l - 1]), dd, len(take)), dtype=dtype)
-            core[prefix[l - 1][take], :, np.arange(len(take))] = vec[col[take]]
-        elif l == bridge:
-            core = np.zeros((len(first[l - 1]), dd, len(rep[l])), dtype=dtype)
-            np.add.at(core, (prefix[l - 1], slice(None), suffix[l]),
-                      trie.weights[:, None] * vec[col])
+    for l, (v, left, label, right) in enumerate(
+            zip(local, trie.lefts, trie.labels, trie.rights)):
+        core = np.zeros((bonds[l], dd, bonds[l + 1]), dtype=dtype)
+        if l == bridge:
+            np.add.at(core, (left, slice(None), right),
+                      weights[:, None] * v[label])
         else:
-            take = rep[l - 1]
-            core = np.zeros((len(take), dd, len(rep[l])), dtype=dtype)
-            core[np.arange(len(take)), :, suffix[l][take]] = vec[col[take]]
+            core[left, :, right] = v[label]
         cores.append(core)
     return TTTensor(tuple(cores), d=isqrt(dd))
 
 
 def _trie_grams(trie: _Trie) -> list:
-    """The right Gram matrices of _trie_tt(trie) (E), equal to
-    tt._right_grams of it with itself, but read off the trie's ids with
-    no product over those mostly-zero cores.
-
-    With Gv = V V^H for site l's rows V = trie.local[l] and G the Gram
-    right of a core:
-    - a suffix core (row i: coordinate c_i, one child ch_i) gives
-      Gv[c][:, c] * G[ch][:, ch], a gather, O(R^2);
-    - a prefix core (column j: one parent p_j, coordinate c_j) gives
-      Gv[c][:, c] * G summed over the sorted parent segments on both
-      axes;
-    - the bridge core holds one row w_k V[c_k] per outcome k, with suffix
-      id s_k, and the outcomes of each prefix are contiguous.  Per prefix
-      p, A_p = (w V[c])_p^T G[s_p], and entry (p, q) sums A_p[:, s_k] .
-      conj(w_k V[c_k]) over the outcomes k of prefix q; only q >= p is
-      formed, the rest is the Hermitian mirror.  O(d^2 U (R + P)) for U
-      outcomes and P prefixes, and nothing larger than a (U, d*d) block
-      beside the Grams.
-    Core 0 is never read, as in tt._right_grams.
+    """The right Gram matrices of E = _trie_tt(trie), as
+    tt._right_grams(E, E) forms them (core 0 is never read), but read off
+    the core entries with no product over those mostly-zero cores.  With
+    Gv = V V^H for site l's rows V = trie.local[l], G the Gram right of a
+    core and c its entries' labels:
+    - right of the bridge entry i is left index i, and the Gram is the
+      gather Gv[c][:, c] * G[r][:, r] by the right indices r, O(R^2);
+    - left of it entry j is right index j, and the Gram is Gv[c][:, c] * G
+      summed over the sorted segments of equal left index on both axes;
+    - the bridge core holds one row w_k V[c_k] per outcome k, with right
+      index s_k, and the outcomes of each prefix are contiguous.  Per
+      prefix p, A_p = (w V[c])_p^T G[s_p], and entry (p, q) sums
+      A_p[:, s_k] . conj(w_k V[c_k]) over the outcomes k of prefix q;
+      only q >= p is formed, the rest is the Hermitian mirror.
+      O(d^2 U (R + P)) for U outcomes and P prefixes, and nothing larger
+      than a (U, d*d) block beside the Grams.
     """
-    rows, bridge, local = trie.rows, trie.bridge, trie.local
-    n = rows.shape[1]
+    bridge, local = trie.bridge, trie.local
     gv = [v @ v.conj().T for v in local]
     grams = [np.ones((1, 1))]
-    for l in range(n, 1, -1):  # site l's core gives the Gram left of it
-        g, col = grams[-1], rows[:, l - 1]
+    for l in range(len(local) - 1, 0, -1):  # core l gives the Gram left of it
+        g, c, right = grams[-1], trie.labels[l], trie.rights[l]
         if l > bridge:
-            take = trie.rep[l - 1]
-            c, ch = col[take], trie.suffix[l][take]
-            grams.append(np.take(gv[l - 1][c], c, axis=1)
-                         * np.take(g[ch], ch, axis=1))
-        elif l < bridge:
-            take = trie.first[l]
-            c, parent = col[take], trie.prefix[l - 1][take]
-            seg = np.flatnonzero(np.diff(parent, prepend=-1))
-            h = np.take(gv[l - 1][c], c, axis=1) * g
+            grams.append(np.take(gv[l][c], c, axis=1)
+                         * np.take(g[right], right, axis=1))
+            continue
+        seg = np.flatnonzero(np.diff(trie.lefts[l], prepend=-1))
+        if l < bridge:
+            h = np.take(gv[l][c], c, axis=1) * g
             grams.append(np.add.reduceat(np.add.reduceat(h, seg, axis=0),
                                          seg, axis=1))
         else:
-            wv = trie.weights[:, None] * local[l - 1][col]  # (U, dd)
+            wv = trie.weights[:, None] * local[l][c]  # (U, dd)
             wv_h = np.ascontiguousarray(wv.conj().T)
-            s, seg = trie.suffix[l], trie.first[l - 1]
-            ends = np.append(seg[1:], len(rows))
+            ends = np.append(seg[1:], len(c))
             out = np.zeros((len(seg), len(seg)), dtype=np.result_type(wv, g))
-            # row p from its prefix's rows on: the rest is its mirror
+            # row p from its prefix's outcomes on: the rest is its mirror
             for p, (lo, hi) in enumerate(zip(seg, ends)):
-                a_p = wv[lo:hi].T @ g[s[lo:hi]]  # (dd, S)
-                t = np.take(a_p, s[lo:], axis=1) * wv_h[:, lo:]
+                a_p = wv[lo:hi].T @ g[right[lo:hi]]  # (dd, S)
+                t = np.take(a_p, right[lo:], axis=1) * wv_h[:, lo:]
                 out[p, p:] = np.add.reduceat(t.sum(axis=0), seg[p:] - lo)
             out += np.triu(out, 1).conj().T
             grams.append(out)

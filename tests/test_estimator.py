@@ -188,6 +188,18 @@ def test_outcome_sum_single_site():
     assert np.abs(got - want).max() < 1e-13
 
 
+def test_outcome_sum_rejects_an_extra_weight():
+    # the third weight has no outcome: it must not drop out silently
+    with pytest.raises(ValueError, match="weights"):
+        outcome_sum_tt([(1, 1), (2, 3)], [0.5, 0.25, 9.0],
+                       ProductPOVM.local_sic(2))
+
+
+def test_outcome_sum_rejects_a_missing_weight():
+    with pytest.raises(ValueError, match="weights"):
+        outcome_sum_tt([(1, 1), (2, 3)], [0.5], ProductPOVM.local_sic(2))
+
+
 def test_empirical_operator_matches_brute_force():
     povm = ProductPOVM.local_sic(3)
     rho = _mpdo(3, seed=1)

@@ -39,6 +39,8 @@ from mpoqst.povm import (
     _rows_tt,
     _site_transfers,
     _trie_amplitudes,
+    _trie_grams,
+    _trie_tt,
 )
 from mpoqst.states import (
     MPDOGenConfig,
@@ -539,18 +541,43 @@ def _row_povm(kind, n) -> ProductPOVM:
 @st.composite
 def _row_cases(draw):
     """(povm, local, (B, n) 0-based rows, weights): SIC, pauli6 or qutrit
-    sites at n = 1..5, fused or coordinate rows, a few distinct rows
-    drawn with repetition, weights that may be zero or negative."""
+    sites at n = 1..5, fused or coordinate rows, up to 12 distinct rows
+    drawn with repetition from 2 values per site, so that rows share
+    prefixes and suffixes, and weights that may be zero or negative."""
     kind = draw(st.sampled_from(["sic", "pauli6", "qutrit"]))
     povm = _row_povm(kind, draw(st.integers(1, 5)))
     local = draw(st.sampled_from([povm.fused(), povm.hermitian_coordinates()]))
-    row = st.tuples(*(st.integers(0, k - 1) for k in povm.k_locs))
-    pool = draw(st.lists(row, min_size=1, max_size=6))
-    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    values = [sorted(draw(st.sets(st.integers(0, k - 1), min_size=2,
+                                  max_size=2))) for k in povm.k_locs]
+    row = st.tuples(*(st.sampled_from(v) for v in values))
+    pool = draw(st.lists(row, min_size=1, max_size=12, unique=True))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
     weight = st.one_of(st.just(0.0), st.floats(-2, 2, allow_nan=False))
     weights = draw(st.lists(weight, min_size=len(picks),
                             max_size=len(picks)))
     return povm, local, np.array(picks, dtype=np.intp), np.array(weights)
+
+
+def _tree_tt(povm, rows, weights, local):
+    """(E, its Grams) of the rows' outcome prefix tree."""
+    trie = _outcome_trie(rows + 1, weights, povm, local)
+    return _trie_tt(trie), _trie_grams(trie)
+
+
+def _tree_amplitudes(povm, rows, local, state):
+    """The amplitudes of the rows' outcome prefix tree and the rows in
+    its (sorted) order."""
+    trie = _outcome_trie(rows + 1, np.ones(len(rows)), povm, local)
+    return (_trie_amplitudes(trie, state),
+            rows[np.lexsort(rows.T[::-1])])
+
+
+# the two encodings of an outcome list: its own rows, or its prefix tree
+SUM_KERNELS = {"rows": lambda povm, *args: _rows_tt(*args),
+               "tree": _tree_tt}
+AMPLITUDE_KERNELS = {
+    "rows": lambda povm, rows, *args: (_row_amplitudes(rows, *args), rows),
+    "tree": _tree_amplitudes}
 
 
 def _dense_element(povm, row) -> np.ndarray:
@@ -560,11 +587,13 @@ def _dense_element(povm, row) -> np.ndarray:
     return m
 
 
+@pytest.mark.parametrize("kernel", SUM_KERNELS.values(),
+                         ids=SUM_KERNELS.keys())
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=_row_cases())
-def test_rows_tt_is_the_dense_sum_and_its_grams_the_walk(case):
+def test_rows_tt_is_the_dense_sum_and_its_grams_the_walk(kernel, case):
     povm, local, rows, weights = case
-    grad, grams = _rows_tt(rows, weights, local)
+    grad, grams = kernel(povm, rows, weights, local)
     assert grad.n == povm.n and grad.cores[0].dtype == local[0].dtype
     walk = _right_grams(grad, grad)
     assert len(grams) == len(walk)
@@ -578,19 +607,23 @@ def test_rows_tt_is_the_dense_sum_and_its_grams_the_walk(case):
     assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
 
 
+@pytest.mark.parametrize("kernel", AMPLITUDE_KERNELS.values(),
+                         ids=AMPLITUDE_KERNELS.keys())
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=_row_cases(), seed=st.integers(0, 10 ** 6))
-def test_row_amplitudes_match_the_dense_map(case, seed):
+def test_row_amplitudes_match_the_dense_map(kernel, case, seed):
     povm, local, rows, _ = case
     state = random_mpdo(MPDOGenConfig(n=povm.n, kappa=2, purity=3,
                                       seed=seed, d=povm.d))
     probs = measure_map_dense(povm, tt_to_dense(state))
-    want = probs[np.ravel_multi_index(rows.T, povm.k_locs)]
     coords = local[0].dtype == np.float64
-    got = _row_amplitudes(
-        rows, local, tt_to_hermitian_coordinates(state) if coords else state)
+    state = tt_to_hermitian_coordinates(state) if coords else state
+    got, rows = kernel(povm, rows, local, state)
+    want = probs[np.ravel_multi_index(rows.T, povm.k_locs)]
     assert got.shape == (len(rows),)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(probs).max()
+    # an empty outcome list has no amplitudes
+    assert kernel(povm, rows[:0], local, state)[0].shape == (0,)
 
 
 def test_fused_is_built_once_and_read_only():

@@ -8,7 +8,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mpoqst"
 OWNER = "povm.py"
-ID_FIELDS = {"rows", "order", "bridge", "prefix", "first", "suffix", "rep"}
+ID_FIELDS = {"order", "bridge", "lefts", "labels", "rights"}
 
 
 def _id_field_reads(source: str) -> list:
@@ -20,9 +20,9 @@ def _id_field_reads(source: str) -> list:
 
 def test_the_scan_sees_every_id_field_read():
     source = ("def f(trie, part):\n"
-              "    rows, bridge = trie.rows, trie.bridge\n"
-              "    x = part.prefix[0][part.first[1]] + trie.order\n"
-              "    return [g(t.suffix, t.rep) for t in (trie, part)]\n"
+              "    lefts, bridge = trie.lefts, trie.bridge\n"
+              "    x = part.labels[0] + trie.order\n"
+              "    return [g(t.rights) for t in (trie, part)]\n"
               "y = trie.weights + trie.local[0]\n")
     assert sorted(f for _, f in _id_field_reads(source)) == sorted(ID_FIELDS)
 
