@@ -3,13 +3,17 @@
 
 Uses exhaustive enumeration where feasible and the beam lower bound
 beyond; the statistic should grow polynomially, not exponentially, for
-these mixed states.
+these mixed states.  Writes gamma.csv (one row per n) into the output
+directory.
 """
 
 import argparse
+import os
 
 import numpy as np
 
+from mpoqst import __version__
+from mpoqst.experiment import _write_table
 from mpoqst.povm import ProductPOVM, gamma
 from mpoqst.states import MPDOGenConfig, random_mpdo
 from mpoqst.tt import N_DENSE_MAX
@@ -17,6 +21,7 @@ from mpoqst.tt import N_DENSE_MAX
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default="out/gamma-vs-n")
     parser.add_argument("--n-min", type=int, default=2)
     parser.add_argument("--n-max", type=int, default=10)
     parser.add_argument("--kappa", type=int, default=2)
@@ -25,7 +30,8 @@ def main():
     parser.add_argument("--base-seed", type=int, default=7000)
     args = parser.parse_args()
 
-    medians = []
+    os.makedirs(args.out, exist_ok=True)
+    rows = []  # (n, method, median, max, draws)
     for n in range(args.n_min, args.n_max + 1):
         povm = ProductPOVM.local_sic(n)
         method = "exhaustive" if n <= N_DENSE_MAX else "beam"
@@ -37,13 +43,18 @@ def main():
             vals.append(gamma(povm, state, method=method,
                               beam_width=args.beam_width).gamma)
         med = float(np.median(vals))
-        medians.append((n, med))
+        rows.append((n, method, med, max(vals), args.draws))
         print(f"n={n:2d} ({method:10s}): median gamma {med:.3f} "
               f"max {max(vals):.3f}")
-    if len(medians) > 1:
-        slope = np.polyfit(np.log([n for n, _ in medians]),
-                           np.log([g for _, g in medians]), 1)[0]
+    if len(rows) > 1:
+        slope = np.polyfit(np.log([row[0] for row in rows]),
+                           np.log([row[2] for row in rows]), 1)[0]
         print(f"log-log slope of median gamma vs n: {slope:.2f}")
+    _write_table(os.path.join(args.out, "gamma.csv"),
+                 f"# mpoqst {__version__} kappa={args.kappa} "
+                 f"draws={args.draws} beam_width={args.beam_width} "
+                 f"base_seed={args.base_seed}",
+                 ["n", "method", "median_gamma", "max_gamma", "draws"], rows)
 
 
 if __name__ == "__main__":

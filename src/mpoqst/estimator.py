@@ -27,9 +27,10 @@ orthogonalized: each step rounds rho - mu Phi(rho) + mu E from its Grams
 with ``tt_round_sum``, one eigenproblem of size r d^2 per bond at O(n
 d^2 r R^2) per step instead of the O(n d^2 R^3) of rounding the whole
 sum.  Each PSGD batch step rounds rho - mu grad the same way, from the
-diagonal-core TT and Grams of the batch's own rows (povm._rows_tt).
-Traces come from tt.tt_coordinate_trace: this module reads no tree id
-and no coordinate position.
+TT (povm._trie_tt) and Grams (povm._trie_grams) of the batch's own
+rows, unshared (povm._row_trie).  Traces come from
+tt.tt_coordinate_trace: this module reads no tree id and no coordinate
+position.
 
 One loop (``_descend``) runs PGD on MPOs, PGD on dense matrices (the
 reference backend for small n) and PSGD.  It owns the step schedule,
@@ -51,8 +52,7 @@ from .povm import (
     ProductPOVM,
     _outcome_indices,
     _outcome_trie,
-    _row_amplitudes,
-    _rows_tt,
+    _row_trie,
     _Trie,
     _trie_amplitudes,
     _trie_grams,
@@ -320,7 +320,8 @@ def _project(x: TTTensor, ranks, round_tol: float = None,
     """project_mpo in coordinates, of x plus ``data`` when given, rounded
     by tt_round_sum from data's right Gram matrices ``grams``.  The data
     is a scaled E, with the _trie_grams of the record's prefix tree, or a
-    scaled PSGD batch gradient, with the Grams that _rows_tt returns."""
+    scaled PSGD batch gradient, with the _trie_grams of the batch's
+    unshared rows."""
     capped = cap_ranks(ranks, x.n, x.d)
     if data is None:
         x = tt_round(x, target_ranks=capped)
@@ -630,9 +631,9 @@ def psgd(record, povm: ProductPOVM, config: EstimatorConfig,
     containing every nonzero-count outcome plus seeded zero-count filler,
     then runs floor(N/B) iterations on sequential batches of B, each using
     the partial gradient sum_{k in batch} (<A_k, rho> - p_hat_k) A_k, a
-    TT of rank B with diagonal cores whose right Gram matrices are
-    Hadamard products; each step rounds rho - mu grad from those Grams,
-    as PGD rounds against E's.
+    TT of rank B with diagonal cores (povm._row_trie) whose right Gram
+    matrices are Hadamard products; each step rounds rho - mu grad from
+    those Grams, as PGD rounds against E's.
 
     The nonzero outcomes are deliberately oversampled relative to a
     uniform pass over all K outcomes, and the batch gradient is used
@@ -674,11 +675,13 @@ def _psgd(record, trie, povm, config, ranks):
         order = rng.permutation(len(subset))
         for it in range(len(subset) // batch):
             pick = order[it * batch:(it + 1) * batch]
-            rows = subset[pick]
-            amps = _row_amplitudes(rows, trie.local, rho)
-            grad, grams = _rows_tt(rows, amps - subset_p[pick], trie.local)
+            rows, p_hat = subset[pick], subset_p[pick]
+            amps = _trie_amplitudes(
+                _row_trie(rows, np.ones(len(rows)), trie.local), rho)
+            part = _row_trie(rows, amps - p_hat, trie.local)
             rho = _project(rho, ranks, config.tt_round_tol,
-                           data=tt_scale(grad, -mu), grams=grams)
+                           data=tt_scale(_trie_tt(part), -mu),
+                           grams=_trie_grams(part))
             yield rho
 
     loss_of = partial(_loss, trie=trie, povm=povm)

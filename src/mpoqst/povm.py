@@ -5,10 +5,10 @@ product POVM on n sites, an outcome is (i_1, ..., i_n) with each i_l in
 1..K_loc; dense POVMs use single-entry tuples (k,).  Probabilities follow
 the Born rule p_k = <A_k, rho> = trace(A_k rho).
 
-The outcome prefix tree (_outcome_trie) holds the nonzero entries of
-the cores of E = sum_k w_k A_k and the rows they are read in; only this
-module's _trie_* readers read them.  A short outcome list (a PSGD
-batch) goes row by row instead: _rows_tt and _row_amplitudes.
+An outcome list with weights w_k is held as the nonzero entries of the
+cores of E = sum_k w_k A_k (_Trie): a record's as a prefix tree
+(_outcome_trie), a PSGD batch's unshared (_row_trie).  Only this
+module's _trie_* readers read them.
 """
 
 from __future__ import annotations
@@ -576,16 +576,18 @@ def _outcome_indices(povm: ProductPOVM, outcomes, length=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Trie:
-    """The prefix tree of an outcome list as the nonzero entries of the
-    cores of its exact MPO E (see _trie_tt): entry e of core l joins left
-    bond index lefts[l][e] to right bond index rights[l][e] through row
-    labels[l][e] of local[l].  Left of core ``bridge`` a bond index is a
-    distinct prefix, numbered in sorted order, and an entry a prefix with
-    its parent; right of it a bond index is a distinct suffix and an
-    entry a suffix with its child.  At the bridge an entry is an outcome,
-    in lexicographic order, of weight weights[e].  local[l] holds site
-    l's (k_loc, d*d) element rows, fused() or hermitian_coordinates(),
-    that every reader contracts."""
+    """The nonzero entries of the cores of an outcome list's exact MPO
+    E = sum_k w_k A_k (see _trie_tt): entry e of core l joins left bond
+    index lefts[l][e] to right bond index rights[l][e] through row
+    labels[l][e] of local[l].  At core ``bridge`` an entry is an outcome,
+    of weight weights[e].  _outcome_trie shares entries as a prefix tree:
+    left of the bridge a bond index is a distinct prefix, numbered in
+    sorted order, and an entry a prefix with its parent; right of it a
+    bond index is a distinct suffix and an entry a suffix with its child;
+    the outcomes are in lexicographic order.  _row_trie shares none: bond
+    index b carries row b alone.  local[l] holds site l's (k_loc, d*d)
+    element rows, fused() or hermitian_coordinates(), that every reader
+    contracts."""
 
     weights: np.ndarray
     bridge: int
@@ -627,29 +629,41 @@ def _outcome_trie(outcomes, weights, povm: ProductPOVM, local: list) -> _Trie:
     return _Trie(weights[order], bridge, lefts, labels, rights, local)
 
 
+def _row_trie(rows: np.ndarray, weights, local: list) -> _Trie:
+    """The entries of the diagonal-core TT (Oseledets, SIAM J. Sci.
+    Comput. 33(5), 2011) of (B, n) 0-based outcome rows and their (B,)
+    weights, in the element rows ``local``, in row order with no sort:
+    the weights sit at the bridge, core 0, and bond b carries row b."""
+    diag, zero = np.arange(len(rows)), np.zeros(len(rows), dtype=np.intp)
+    n = rows.shape[1]
+    return _Trie(weights, 0, [zero] + [diag] * (n - 1),
+                 list(rows.T), [diag] * (n - 1) + [zero], local)
+
+
 def _trie_amplitudes(trie: _Trie, state: TTTensor) -> np.ndarray:
     """Raw <A_k, state> for every outcome k of the trie, in its order,
     with the element rows b_i = trie.local[l] in the basis of the state's
-    legs.  One left vector per distinct prefix, its parent's times one
-    transfer matrix E_i = sum_s conj(b_i(s)) core[:, s, :], and one right
-    vector per distinct suffix, E_i times its child's, meet at the bridge
-    in one dot product per outcome.  Each core extends all its vectors by
-    all k_loc transfers in one matrix product and keeps row
-    left * k_loc + label (right * k_loc + label) of each entry:
-    O(k d^2 r^2) per site, O(k r^2) per prefix or suffix, O(r) per
-    outcome."""
+    legs.  One left vector per right bond index left of the bridge, its
+    left index's times one transfer matrix E_i = sum_s conj(b_i(s))
+    core[:, s, :], and one right vector per left bond index right of it,
+    E_i times its right index's, meet at the bridge in one dot product
+    per outcome.  Each core extends all its vectors by all k_loc
+    transfers in one matrix product and keeps row left * k_loc + label
+    (right * k_loc + label) of each entry: O(k d^2 r^2) per site, O(k r^2)
+    per entry, O(r) per outcome.  A prefix tree has one vector per
+    distinct prefix or suffix; a _row_trie one per row at every bond."""
     bridge, local = trie.bridge, trie.local
-    left = np.ones((1, 1))  # one row per distinct prefix
+    left = np.ones((1, 1))  # one row per bond index
     for l in range(bridge + 1):
         v, core = local[l], state.cores[l]
-        # row p * k + i: prefix p extended by outcome i
+        # row p * k + i: left index p extended by outcome i
         ext = (left @ (v.conj() @ core).reshape(len(core), -1)).reshape(
             -1, core.shape[2])
         left = np.take(ext, trie.lefts[l] * len(v) + trie.labels[l], axis=0)
-    right = np.ones((1, 1))  # one row per distinct suffix
+    right = np.ones((1, 1))  # one row per bond index
     for l in range(state.n - 1, bridge, -1):
         v, core = local[l], state.cores[l]
-        # row s * k + i: suffix s extended by outcome i
+        # row s * k + i: right index s extended by outcome i
         ext = (right @ (v.conj() @ core).transpose(2, 1, 0).reshape(
             core.shape[2], -1)).reshape(-1, len(core))
         right = np.take(ext, trie.rights[l] * len(v) + trie.labels[l],
@@ -663,10 +677,11 @@ def _trie_tt(trie: _Trie) -> TTTensor:
     trie's outcomes and weights, of the dtype of its rows trie.local.
     Each core is one scatter of its entries' rows v[label] to
     (left, :, right), weighted and summed at the bridge, where outcomes
-    share bond indices.  The bond bases, distinct prefixes left of the
-    bridge and distinct suffixes right of it, never grow with the number
-    of terms beyond the enumeration caps.  ValueError for a trie with no
-    outcomes."""
+    may share bond indices.  A bond has one index per entry of the core
+    beside it away from the bridge: for a prefix tree the distinct
+    prefixes left of the bridge and distinct suffixes right of it, which
+    never grow with the number of terms beyond the enumeration caps; for
+    a _row_trie of B rows, B.  ValueError for a trie with no outcomes."""
     local, weights, bridge = trie.local, trie.weights, trie.bridge
     if not len(weights):
         raise ValueError("need at least one outcome")
@@ -704,6 +719,9 @@ def _trie_grams(trie: _Trie) -> list:
       only q >= p is formed, the rest is the Hermitian mirror.
       O(d^2 U (R + P)) for U outcomes and P prefixes, and nothing larger
       than a (U, d*d) block beside the Grams.
+    A _row_trie has its bridge at core 0, which is never read, so each
+    of its Grams is the first case: Gv[c][:, c] times the Gram right of
+    it, a Hadamard product of row Grams, O(B^2) per core for B rows.
     """
     bridge, local = trie.bridge, trie.local
     gv = [v @ v.conj().T for v in local]
@@ -734,46 +752,16 @@ def _trie_grams(trie: _Trie) -> list:
     return grams[::-1]
 
 
-def _rows_tt(rows: np.ndarray, weights, local: list) -> tuple:
-    """(G, grams): G = sum_k w_k v_{i_1(k)} x ... x v_{i_n(k)} for the
-    (B, n) 0-based outcome rows, v = local[l], as a rank-B TT with
-    diagonal cores (Oseledets, SIAM J. Sci. Comput. 33(5), 2011), core 1
-    weighted and summed over its left index and core n over its right
-    one, and its right Gram matrices, as tt._right_grams(G, G) forms them:
-    bond k carries row k's suffix alone, so each Gram is the Hadamard
-    product of the row Grams V_s V_s^H right of it.  For a short outcome
-    list that shares few prefixes; a record goes through its tree."""
-    diag, cores, grams = np.arange(len(rows)), [], [np.ones((1, 1))]
-    for v, col in zip(local, rows.T):
-        cores.append(np.zeros((len(diag), v.shape[1], len(diag)), v.dtype))
-        cores[-1][diag, :, diag] = v[col]
-    for v, col in zip(local[:0:-1], rows.T[:0:-1]):
-        grams.append(grams[-1] * (v[col] @ v[col].conj().T))
-    cores[0] = np.tensordot(weights, cores[0], axes=1)[None]
-    cores[-1] = cores[-1].sum(axis=2, keepdims=True)
-    return TTTensor(tuple(cores), d=isqrt(local[0].shape[1])), grams[::-1]
-
-
-def _row_amplitudes(rows: np.ndarray, local: list, state: TTTensor):
-    """Raw <A_k, state> for the (B, n) 0-based outcome rows, in their
-    order, with element rows b_i = local[l]: per row, a left vector times
-    the transfer sum_s conj(b_i(s)) core[:, s, :] of each site."""
-    left = np.ones((len(rows), 1))
-    for v, col, core in zip(local, rows.T, state.cores):
-        ext = (left @ core.reshape(len(core), -1)).reshape(
-            len(rows), v.shape[1], core.shape[2])
-        left = np.einsum("bs,bsq->bq", v[col].conj(), ext)
-    return left[:, 0]
-
-
 def outcome_amplitudes(povm: ProductPOVM, state: TTTensor,
                        outcomes) -> np.ndarray:
     """Raw <A_k, state> for a (B, n) batch of 1-based outcomes, as a (B,)
     vector (no clamping; may be negative or complex-residued for
-    non-Hermitian iterates): _row_amplitudes with the fused() rows."""
+    non-Hermitian iterates): _trie_amplitudes of their _row_trie with the
+    fused() rows."""
     _check_shapes(povm, state)
-    return _row_amplitudes(_outcome_indices(povm, outcomes), povm.fused(),
-                           state)
+    rows = _outcome_indices(povm, outcomes)
+    return _trie_amplitudes(_row_trie(rows, np.ones(len(rows)), povm.fused()),
+                            state)
 
 
 def outcome_amplitude(povm: ProductPOVM, state: TTTensor, outcome) -> complex:
@@ -785,8 +773,8 @@ def prob_of_outcome(povm: ProductPOVM, state: TTTensor, outcome,
                     clamp: bool = True) -> float:
     """Probability of one outcome via site-by-site contraction,
     O(n d^2 r^2) per call."""
-    amp = outcome_amplitude(povm, state, outcome)
-    val = float(_real_with_residue_check(np.array([amp]))[0])
+    amps = outcome_amplitudes(povm, state, [outcome])
+    val = float(_real_with_residue_check(amps)[0])
     if clamp:
         arr, _ = clamp_probabilities(np.array([val]))
         return float(arr[0])

@@ -469,16 +469,22 @@ def test_psgd_steps_call_no_tt_add_or_tt_round(init, monkeypatch):
 @pytest.mark.parametrize("init", ["random", "spectral"])
 def test_psgd_batches_build_no_prefix_tree(init, monkeypatch):
     # each batch gradient is the diagonal-core TT of its own rows: once the
-    # start is built, no tree is built and no tree's TT or Grams are read
-    start = estimator._initial_state
+    # start is built, no batch is sorted into a prefix tree and every Gram
+    # walk is over unshared entries, one per row at each core
+    start, walk = estimator._initial_state, estimator._trie_grams
 
     def refuse(*args, **kwargs):
         raise AssertionError("a prefix tree used after the start")
 
+    def unshared_walk(trie):
+        if any(len(c) != len(trie.weights) for c in trie.labels):
+            raise AssertionError("a prefix tree's Grams walked after the start")
+        return walk(trie)
+
     def guarded_start(*args, **kwargs):
         state = start(*args, **kwargs)
-        for name in ("_outcome_trie", "_trie_tt", "_trie_grams"):
-            monkeypatch.setattr(estimator, name, refuse)
+        monkeypatch.setattr(estimator, "_outcome_trie", refuse)
+        monkeypatch.setattr(estimator, "_trie_grams", unshared_walk)
         return state
 
     monkeypatch.setattr(estimator, "_initial_state", guarded_start)

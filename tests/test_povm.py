@@ -35,8 +35,7 @@ from mpoqst.povm import (
     wh_sic_from_fiducial,
     _outcome_trie,
     _right_environments,
-    _row_amplitudes,
-    _rows_tt,
+    _row_trie,
     _site_transfers,
     _trie_amplitudes,
     _trie_grams,
@@ -572,11 +571,18 @@ def _tree_amplitudes(povm, rows, local, state):
             rows[np.lexsort(rows.T[::-1])])
 
 
-# the two encodings of an outcome list: its own rows, or its prefix tree
-SUM_KERNELS = {"rows": lambda povm, *args: _rows_tt(*args),
-               "tree": _tree_tt}
+def _diagonal_tt(povm, rows, weights, local):
+    """(G, its Grams) of the rows' diagonal-core TT."""
+    trie = _row_trie(rows, weights, local)
+    return _trie_tt(trie), _trie_grams(trie)
+
+
+# the two constructors of an outcome list's entries: its own rows,
+# unshared, or its prefix tree
+SUM_KERNELS = {"rows": _diagonal_tt, "tree": _tree_tt}
 AMPLITUDE_KERNELS = {
-    "rows": lambda povm, rows, *args: (_row_amplitudes(rows, *args), rows),
+    "rows": lambda povm, rows, local, state: (_trie_amplitudes(
+        _row_trie(rows, np.ones(len(rows)), local), state), rows),
     "tree": _tree_amplitudes}
 
 

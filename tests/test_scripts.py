@@ -46,11 +46,18 @@ def test_sweep_script_writes_its_tables_and_plot(tmp_path, name, args, svg,
 
 
 def test_gamma_sweep_script_reports_each_n(tmp_path):
+    out = tmp_path / "out"
     proc = _run_script("run_gamma_sweep.py",
-                       ["--n-min", "2", "--n-max", "3", "--draws", "2"],
-                       tmp_path)
+                       ["--n-min", "2", "--n-max", "3", "--draws", "2",
+                        "--out", str(out)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[:2]] == [
         "n= 2 (exhaustive)", "n= 3 (exhaustive)"]
     assert "log-log slope" in lines[-1]
+    rows = _rows(out / "gamma.csv")
+    assert [(r["n"], r["method"], r["draws"]) for r in rows] == [
+        ("2", "exhaustive", "2"), ("3", "exhaustive", "2")]
+    printed = [float(line.split("median gamma ")[1].split()[0])
+               for line in lines[:2]]
+    assert [round(float(r["median_gamma"]), 3) for r in rows] == printed
