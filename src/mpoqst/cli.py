@@ -28,6 +28,7 @@ from .estimator import (
 )
 from .povm import (
     DensePOVM,
+    LocalPOVM,
     NonPhysicalStateError,
     ProductPOVM,
     check_povm,
@@ -93,12 +94,11 @@ def _report(payload: dict, out) -> int:
 
 
 def _load_povm(label: str, n: int = None):
-    """Resolve a POVM argument: 'local-sic' (needs n) or a JSON file.
-    Given n, the POVM must be a product POVM on n sites."""
+    """Resolve a POVM argument: 'local-sic' (the qubit SIC, its product
+    on n sites given n) or a JSON file.  Given n, the POVM must be a
+    product POVM on n sites."""
     if label == "local-sic":
-        if n is None:
-            raise ValueError("local-sic POVM needs --n")
-        return ProductPOVM.local_sic(n)
+        return sic_qubit() if n is None else ProductPOVM.local_sic(n)
     with open(label) as fh:
         povm = povm_from_json_dict(json.load(fh))
     if n is not None and not (isinstance(povm, ProductPOVM) and povm.n == n):
@@ -212,18 +212,14 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_check_povm(args) -> int:
-    if args.povm == "local-sic":
-        local = sic_qubit()
-        dense = dense_from_local(local)
-        report = check_sic(dense)
-        payload = {"povm": "local-sic", "valid_povm": check_povm(local),
-                   "sic": asdict(report), "passes_1e-12": report.passes(1e-12)}
-    else:
-        povm = _load_povm(args.povm)
-        payload = {"povm": args.povm, "valid_povm": check_povm(povm)}
-        if isinstance(povm, DensePOVM):
-            report = check_sic(povm)
-            payload["sic"] = asdict(report)
+    povm = _load_povm(args.povm)
+    payload = {"povm": args.povm, "valid_povm": check_povm(povm)}
+    if isinstance(povm, LocalPOVM):
+        povm = dense_from_local(povm)
+    if isinstance(povm, DensePOVM):
+        report = check_sic(povm)
+        payload["sic"] = asdict(report)
+        payload["passes_1e-12"] = report.passes(1e-12)
     return _report(payload, args.out)
 
 

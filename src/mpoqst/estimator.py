@@ -327,7 +327,7 @@ def _project(x: TTTensor, ranks, round_tol: float = None,
         x = tt_round(x, target_ranks=capped)
     else:
         x = tt_round_sum(x, data, grams, capped)
-    if round_tol is not None and x.n > 1:
+    if round_tol is not None:
         x = tt_round(x, truncation_tol=round_tol)
     tr = tt_coordinate_trace(x)
     if abs(tr) < TRACE_FLOOR:
@@ -565,10 +565,8 @@ def _dense_pgd(record, trie, povm, config, ranks):
     """Dense-matrix reference path: materialized POVM elements, explicit
     gradient, identical projection.  Cross-check backend for small n."""
     n, d = povm.n, povm.d
-    if povm.k_total * (d ** n) ** 2 > 2_000_000:
-        raise ValueError("dense backend limited to small systems")
+    elements = np.stack(dense_from_product(povm).elements)
     state = _initial_state(trie, povm, config, ranks)
-    elements = np.stack([a for a in dense_from_product(povm).elements])
     p_hat = _dense_weights(record, povm)
 
     def loss_of(rho):
@@ -655,7 +653,7 @@ def _psgd(record, trie, povm, config, ranks):
     n, d = povm.n, povm.d
     observed, p_obs = record.outcomes, record.p_hat
     n_obs = len(p_obs)
-    max_rank = max(ranks) if ranks else 1
+    max_rank = max(ranks, default=1)
     if config.epoch_size is not None:
         n_epoch = config.epoch_size
         if not n_obs <= n_epoch <= povm.k_total:

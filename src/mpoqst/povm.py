@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, factorial, isqrt
 
 import numpy as np
@@ -50,6 +50,9 @@ MAX_REPEAT = 2 ** 16
 # Materialization guard for permutation-symmetrizer matrices.
 MAX_SYM_ENTRIES = 1_000_000
 
+# Materialization guard for the K d^n x d^n elements of dense_from_product.
+MAX_DENSE_ENTRIES = 2_000_000
+
 
 class NonPhysicalStateError(NumericalError):
     """A probability was negative beyond the floating-point clamp window."""
@@ -57,6 +60,19 @@ class NonPhysicalStateError(NumericalError):
 
 # ---------------------------------------------------------------------------
 # POVM containers
+
+
+def _frozen_elements(elements, dim: int) -> tuple:
+    """The elements as read-only complex (dim, dim) arrays; ValueError
+    on another shape or an empty list."""
+    els = tuple(np.ascontiguousarray(e, dtype=complex) for e in elements)
+    if not els:
+        raise ValueError("need at least one element")
+    for e in els:
+        if e.shape != (dim, dim):
+            raise ValueError(f"element shape {e.shape} != ({dim}, {dim})")
+        e.flags.writeable = False
+    return els
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,13 +86,7 @@ class LocalPOVM:
     _fused: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        els = tuple(np.ascontiguousarray(e, dtype=complex) for e in self.elements)
-        for e in els:
-            if e.shape != (self.d, self.d):
-                raise ValueError(f"element shape {e.shape} != ({self.d}, {self.d})")
-            e.flags.writeable = False
-        if not els:
-            raise ValueError("need at least one element")
+        els = _frozen_elements(self.elements, self.d)
         object.__setattr__(self, "elements", els)
         fused = np.stack([fuse_local_operator(e) for e in els])
         fused.flags.writeable = False
@@ -186,12 +196,8 @@ class DensePOVM:
     vectors: tuple = None
 
     def __post_init__(self):
-        els = tuple(np.ascontiguousarray(e, dtype=complex) for e in self.elements)
-        for e in els:
-            if e.shape != (self.dim, self.dim):
-                raise ValueError(f"element shape {e.shape} != ({self.dim},)*2")
-            e.flags.writeable = False
-        object.__setattr__(self, "elements", els)
+        object.__setattr__(self, "elements",
+                           _frozen_elements(self.elements, self.dim))
         if self.vectors is not None:
             vecs = tuple(np.ascontiguousarray(v, dtype=complex) for v in self.vectors)
             for v in vecs:
@@ -285,8 +291,12 @@ def dense_from_local(local: LocalPOVM) -> DensePOVM:
 
 
 def dense_from_product(povm: ProductPOVM) -> DensePOVM:
-    """Materialize every global element of a product POVM (small n only)."""
-    _check_dense_cap(povm.n)
+    """Materialize every global element of a product POVM; ValueError
+    when the K elements of d^n x d^n would exceed MAX_DENSE_ENTRIES."""
+    entries = povm.k_total * povm.d ** (2 * povm.n)
+    if entries > MAX_DENSE_ENTRIES:
+        raise ValueError(f"{povm.k_total} dense elements on n={povm.n} sites "
+                         f"need {entries} entries (cap {MAX_DENSE_ENTRIES})")
     elements = []
     for outcome in iter_outcomes(povm):
         m = np.ones((1, 1), dtype=complex)
@@ -298,10 +308,7 @@ def dense_from_product(povm: ProductPOVM) -> DensePOVM:
 
 def iter_outcomes(povm: ProductPOVM):
     """All outcomes in lexicographic order (1-based per-site indices)."""
-    shape = povm.k_locs
-    idx = np.indices(shape).reshape(len(shape), -1).T
-    for row in idx:
-        yield tuple(int(i) + 1 for i in row)
+    return product(*(range(1, k + 1) for k in povm.k_locs))
 
 
 # ---------------------------------------------------------------------------

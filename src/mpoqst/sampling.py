@@ -287,19 +287,15 @@ def sample_enumerate(povm, state, m_shots: int, seed: int) -> OutcomeRecord:
     [0, MAX_SHOTS].
     """
     _check_shots(m_shots)
-    if isinstance(povm, DensePOVM):
-        if not isinstance(state, DenseOperator):
-            raise TypeError("dense POVM requires a dense state")
-        probs = measure_map_dense(povm, state)
-        shape = (povm.k_total,)
-    elif isinstance(povm, ProductPOVM):
-        if isinstance(state, DenseOperator):
-            probs = measure_map_dense(povm, state)
-        else:
-            probs = probability_tensor(povm, state)
-        shape = povm.k_locs
-    else:
+    if not isinstance(povm, (DensePOVM, ProductPOVM)):
         raise TypeError(f"unsupported POVM type {type(povm)}")
+    if isinstance(state, DenseOperator):
+        probs = measure_map_dense(povm, state)
+    elif isinstance(povm, DensePOVM):
+        raise TypeError("dense POVM requires a dense state")
+    else:
+        probs = probability_tensor(povm, state)
+    shape = (povm.k_total,) if isinstance(povm, DensePOVM) else povm.k_locs
     probs = np.asarray(probs, dtype=float).reshape(-1)
     probs, n_clamped = clamp_probabilities(probs)
     total = probs.sum()

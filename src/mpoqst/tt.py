@@ -500,8 +500,6 @@ def tt_round_sum(a: TTTensor, b: TTTensor, grams: list,
     target_ranks = _validate_ranks(target_ranks, a.n, a.d)
     n, d = a.n, a.d
     dd = d * d
-    if n == 1:
-        return TTTensor((a.cores[0] + b.cores[0],), d=d)
     g_aa, g_ab = _right_grams(a, a), _right_grams(a, b)
     span = [1]
     for ra, rb in zip(a.ranks[-2:0:-1], b.ranks[-2:0:-1]):
@@ -566,8 +564,6 @@ def smallest_tt_singular_value(a: TTTensor, ranks) -> float:
     n <= N_DENSE_MAX.  For n == 1 there are no internal cuts and +inf is
     returned.
     """
-    if a.n == 1:
-        return float("inf")
     ranks = _rank_vector(ranks, a.n)
     tensor = fuse_dense_to_tensor(tt_to_dense(a).matrix, a.n, a.d)
     dd = a.d * a.d
@@ -586,7 +582,7 @@ def smallest_tt_singular_value(a: TTTensor, ranks) -> float:
 
 def random_tt(n: int, d: int, ranks, seed: int, hermitian: bool = False) -> TTTensor:
     """Random TT with the given internal ranks; optionally hermitized."""
-    ranks = _validate_ranks(ranks, n, d) if n > 1 else ()
+    ranks = _validate_ranks(ranks, n, d)
     full = (1,) + tuple(ranks) + (1,)
     rng = np.random.default_rng(seed)
     cores = []
@@ -596,8 +592,7 @@ def random_tt(n: int, d: int, ranks, seed: int, hermitian: bool = False) -> TTTe
     out = TTTensor(tuple(cores), d=d)
     if hermitian:
         out = tt_round(tt_scale(tt_add(out, tt_adjoint(out)), 0.5),
-                       target_ranks=ranks if n > 1 else None,
-                       truncation_tol=None if n > 1 else 0.0)
+                       target_ranks=ranks)
     return out
 
 

@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 
 from mpoqst import __version__, cli, experiment
 from mpoqst.cli import main
-from mpoqst.povm import MAX_REPEAT, local_povm_to_json_dict, sic_qubit
+from mpoqst.povm import (
+    MAX_REPEAT,
+    ProductPOVM,
+    dense_from_local,
+    local_povm_to_json_dict,
+    povm_to_json_dict,
+    sic_qubit,
+)
 from mpoqst.sampling import MAX_SHOTS
 from mpoqst.states import MPDOGenConfig, maximally_mixed, random_mpdo
 from mpoqst.tt import load_tt, save_tt, tt_from_json_dict, tt_to_json_dict
@@ -115,6 +122,39 @@ def test_check_povm_local_sic(workspace, capsys):
     assert payload["valid_povm"] is True
     assert payload["passes_1e-12"] is True
     assert payload["sic"]["trace_dev"] <= 1e-12
+
+
+def test_load_povm_resolves_local_sic_with_and_without_n():
+    assert cli._load_povm("local-sic") == sic_qubit()
+    assert cli._load_povm("local-sic", n=3) == ProductPOVM.local_sic(3)
+
+
+@pytest.mark.parametrize("kind", ["local", "dense", "product"])
+def test_check_povm_reads_a_povm_file(workspace, capsys, kind):
+    # a local or dense file gets the SIC report of local-sic, a product
+    # file the validity check only; --out writes the printed report
+    assert run(["check-povm"]) == 0
+    sic_report = json.loads(capsys.readouterr().out)
+    povm = {"local": sic_qubit(), "dense": dense_from_local(sic_qubit()),
+            "product": ProductPOVM.local_sic(2)}[kind]
+    path, out = workspace / "povm.json", workspace / "report.json"
+    path.write_text(json.dumps(povm_to_json_dict(povm)))
+    assert run(["check-povm", "--povm", path, "--out", out]) == 0
+    printed, written = capsys.readouterr().out.rstrip("\n").rsplit("\n", 1)
+    payload = json.loads(printed)
+    assert written == str(out)
+    assert json.loads(out.read_text()) == payload
+    if kind == "product":
+        assert payload == {"povm": str(path), "valid_povm": True}
+    else:
+        assert payload == {**sic_report, "povm": str(path)}
+
+
+def test_check_povm_rejects_an_empty_dense_povm(workspace, capsys):
+    path = workspace / "povm.json"
+    path.write_text(json.dumps({"kind": "dense", "dim": 2, "elements": []}))
+    assert run(["check-povm", "--povm", path]) == 1
+    assert "need at least one element" in capsys.readouterr().err
 
 
 def test_check_design_cli(workspace, capsys):
@@ -402,6 +442,16 @@ def test_estimate_divergence_exits_2(mode, workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
     assert ("at epoch" if "psgd" in mode else "at iteration") in err
+
+
+def test_dense_backend_refuses_too_many_element_entries(workspace, capsys):
+    state = _generate(workspace, n=6, kappa=1)
+    record = workspace / "rec.json"
+    assert run(["measure", "--state", state, "--shots", 50,
+                "--out", record]) == 0
+    assert run(["estimate", "--record", record, "--backend", "dense",
+                "--out", workspace / "fit"]) == 1
+    assert "16777216 entries" in capsys.readouterr().err
 
 
 def test_estimate_rejects_dense_psgd(workspace, capsys):

@@ -200,6 +200,11 @@ def test_outcome_sum_rejects_a_missing_weight():
         outcome_sum_tt([(1, 1), (2, 3)], [0.5], ProductPOVM.local_sic(2))
 
 
+def test_outcome_sum_needs_an_outcome():
+    with pytest.raises(ValueError, match="need at least one outcome"):
+        outcome_sum_tt([], [], ProductPOVM.local_sic(2))
+
+
 def test_empirical_operator_matches_brute_force():
     povm = ProductPOVM.local_sic(3)
     rho = _mpdo(3, seed=1)
@@ -305,6 +310,14 @@ def test_dense_pgd_rejects_non_hermitian_element(init):
     config = EstimatorConfig(ranks=2, init=init, max_iters=2,
                              backend="dense")
     with pytest.raises(ValueError, match="not Hermitian"):
+        pgd(rec, povm, config)
+
+
+def test_provided_start_needs_an_init_state():
+    povm = ProductPOVM.local_sic(2)
+    rec = population_record(povm, _mpdo(2, seed=28))
+    config = EstimatorConfig(ranks=2, init="provided", max_iters=1)
+    with pytest.raises(ValueError, match="requires init_state"):
         pgd(rec, povm, config)
 
 
@@ -655,6 +668,14 @@ def test_project_degenerate_trace_errors():
     traceless -= np.trace(traceless) / 4 * np.eye(4)
     with pytest.raises(NumericalError):
         project_mpo(DenseOperator.from_matrix(traceless), (4,))
+
+
+def test_project_rounds_one_site_to_tolerance():
+    # one site has no bond: the tolerance rounding keeps the core
+    x = tt_scale(tt_to_hermitian_coordinates(_mpdo(1, seed=27, kappa=1)), 2.0)
+    got = estimator._project(x, (), round_tol=0.1)
+    assert np.array_equal(got.cores[0], estimator._project(x, ()).cores[0])
+    assert abs(tt.tt_coordinate_trace(got) - 1.0) < 1e-12
 
 
 def test_output_is_hermitian_unit_trace():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpoqst.povm import (
+    PROB_CLAMP_TOL,
     DensePOVM,
     GammaReport,
     LocalPOVM,
@@ -22,6 +23,7 @@ from mpoqst.povm import (
     iter_outcomes,
     marginal_prefix_prob,
     measure_map_dense,
+    outcome_amplitude,
     outcome_amplitudes,
     povm_from_json_dict,
     povm_id,
@@ -123,6 +125,20 @@ def test_negated_element_fails_check():
     assert not check_povm(LocalPOVM(elements=tuple(els), d=2))
 
 
+def test_check_povm_accepts_a_list_of_matrices():
+    assert check_povm([np.diag([1.0, 0.0]), [[0, 0], [0, 1]]])
+    # the two sum to the identity, but neither is Hermitian
+    assert not check_povm([[[0.5, 1.0], [0.0, 0.5]],
+                           [[0.5, -1.0], [0.0, 0.5]]])
+
+
+def test_povm_needs_an_element():
+    with pytest.raises(ValueError, match="need at least one element"):
+        LocalPOVM(elements=(), d=2)
+    with pytest.raises(ValueError, match="need at least one element"):
+        DensePOVM(elements=(), dim=2)
+
+
 # ---------------------------------------------------------------------------
 # Weyl-Heisenberg orbits
 
@@ -155,6 +171,24 @@ def test_wh_rejects_bad_fiducial():
 
 # ---------------------------------------------------------------------------
 # SIC reports on non-SIC inputs
+
+
+def test_dense_from_product_caps_the_element_entries():
+    # K d^(2n) = 16^n entries for the local SIC: n = 5 builds, n = 6 is
+    # refused before any element is built
+    povm = dense_from_product(ProductPOVM.local_sic(5))
+    assert (povm.k_total, povm.dim) == (4 ** 5, 32)
+    with pytest.raises(ValueError, match="16777216 entries"):
+        dense_from_product(ProductPOVM.local_sic(6))
+
+
+def test_iter_outcomes_is_lexicographic():
+    two = LocalPOVM(elements=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), d=2)
+    povm = ProductPOVM(sites=(sic_qubit(), two, sic_qubit()))
+    want = [tuple(int(i) + 1 for i in idx) for idx in np.ndindex(4, 2, 4)]
+    got = list(iter_outcomes(povm))
+    assert got == want
+    assert all(type(i) is int for outcome in got for i in outcome)
 
 
 def test_product_of_sics_is_not_a_sic():
@@ -440,6 +474,30 @@ def test_outcome_amplitudes_complex_for_non_hermitian_input():
     assert np.abs(amps - want).max() < 1e-12 * scale
     loop = np.array([_amplitude_loop(povm, state, o) for o in outcomes])
     assert np.abs(amps - loop).max() < 1e-12 * scale
+
+
+def test_outcome_amplitude_is_one_row_of_the_batch():
+    povm = ProductPOVM.local_sic(3)
+    state = random_tt(3, 2, (2, 3), seed=40)  # complex, not Hermitian
+    matrix = tt_to_dense(state).matrix
+    for outcome, element in zip(iter_outcomes(povm),
+                                dense_from_product(povm).elements):
+        got = outcome_amplitude(povm, state, outcome)
+        assert type(got) is complex
+        assert abs(got - hs(element, matrix)) < 1e-12
+
+
+def test_prob_of_outcome_without_clamp_keeps_a_negative_probability():
+    povm = ProductPOVM.local_sic(2)
+    state = random_tt(2, 2, (3,), seed=41, hermitian=True)  # not PSD
+    probs = probability_tensor(povm, state)
+    assert probs.min() < -PROB_CLAMP_TOL
+    outcome = tuple(int(i) + 1 for i in
+                    np.unravel_index(np.argmin(probs), probs.shape))
+    assert abs(prob_of_outcome(povm, state, outcome, clamp=False)
+               - probs.min()) < 1e-12
+    with pytest.raises(NonPhysicalStateError):
+        prob_of_outcome(povm, state, outcome)
 
 
 def test_outcome_amplitudes_empty_batch_and_validation():

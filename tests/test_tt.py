@@ -62,6 +62,17 @@ def test_single_site_fusion_convention():
     assert np.allclose(m, [[1.0, 3.0], [2.0, 4.0]])
 
 
+@pytest.mark.parametrize("shapes, message", [
+    ([(1, 4)], "core 0 has shape"),
+    ([(1, 3, 1)], "core 0 has shape"),
+    ([(2, 4, 1)], "boundary ranks must be 1"),
+    ([(1, 4, 2), (3, 4, 1)], "rank mismatch between cores 0 and 1"),
+])
+def test_tt_rejects_malformed_cores(shapes, message):
+    with pytest.raises(ValueError, match=message):
+        TTTensor(tuple(np.zeros(s) for s in shapes), d=2)
+
+
 def test_identity_product_round_trip():
     tt = maximally_mixed(3)
     assert np.abs(dense(tt) - np.eye(8) / 8).max() < 1e-15
@@ -347,6 +358,12 @@ def test_right_grams_match_brute_force(n, d, ranks):
         assert np.abs(grams[l] - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_round_sum_of_one_site_is_the_sum():
+    a, b = random_tt(1, 2, (), seed=30), random_tt(1, 2, (), seed=31)
+    got = tt_round_sum(a, b, _right_grams(b, b), ())
+    assert np.array_equal(got.cores[0], a.cores[0] + b.cores[0])
+
+
 def test_round_sum_validates_like_round():
     a = random_tt(3, 2, (2, 2), seed=20)
     b = random_tt(3, 2, (3, 3), seed=21)
@@ -504,6 +521,13 @@ def test_is_hermitian():
     assert not is_hermitian(tt_scale(a, 1.0), 1e-10)
 
 
+def test_random_hermitian_tt_of_one_site_is_the_hermitian_part():
+    # one site has no bond to round
+    a = random_tt(1, 2, (), seed=33)
+    h = random_tt(1, 2, (), seed=33, hermitian=True)
+    assert np.abs(dense(h) - (dense(a) + dense(a).conj().T) / 2).max() < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # TT singular values
 
@@ -515,6 +539,12 @@ def test_smallest_singular_value_product_state():
     assert abs(smallest_tt_singular_value(mm, (1,)) - 0.5) < 1e-12
     assert abs(smallest_tt_singular_value(mm, (1,))
                - tt_norm(mm)) < 1e-12
+
+
+def test_smallest_singular_value_of_one_site_is_inf():
+    # one site has no internal cut
+    a = random_tt(1, 2, (), seed=32)
+    assert smallest_tt_singular_value(a, ()) == np.inf
 
 
 def test_smallest_singular_value_rank_deficiency():
